@@ -67,8 +67,8 @@ def _exhaustive_l0(data: Dataset, cfg: L0Config):
         penalty = cfg.lam * s
         for lo in range(0, len(subs), SCAN_CHUNK):
             hi = min(lo + SCAN_CHUNK, len(subs))
-            rss, _ = batched_rss(data.gram, data.xty, data.yty,
-                                 subs[lo:hi], eps_n)
+            rss, _, _ = batched_rss(data.gram, data.xty, data.yty,
+                                    subs[lo:hi], eps_n)
             i = int(np.argmin(rss))
             val = rss[i] + penalty
             # size-ascending scan with strict < keeps the sparser, then
@@ -134,10 +134,6 @@ def l0_select(data: Dataset, cfg: L0Config):
 
         support, _ = _greedy_l0(data, score)
     return support, least_squares_min_norm(data, support)
-
-
-def l0_criterion(data: Dataset, J, lam: float) -> float:
-    return residual_ss(data, J) + lam * len(tuple(J))
 
 
 def lasso_coordinate_descent(data: Dataset, cfg: LassoConfig) -> np.ndarray:

@@ -22,70 +22,97 @@ from .subsets import EPS_RANK
 
 _DIRECT_LIMIT = 100_000   # below this many subsets, skip the pruned pass
 _PRUNE_SAMPLE = 4096
+_SAMPLE_BLOCK_BYTES = 1 << 23   # uniform draws held at once by _sample_subsets
 
 
 def _sample_subsets(p: int, s: int, count: int, rng) -> np.ndarray:
-    """`count` uniform size-s subsets of range(p), rows sorted."""
-    u = rng.random((count, p))
-    idx = np.argpartition(u, s - 1, axis=1)[:, :s]
-    return np.sort(idx, axis=1).astype(np.intp)
+    """`count` uniform size-s subsets of range(p), rows sorted.
 
-
-def _chunked_min_eigs(G_flat, subs, p):
-    for lo in range(0, len(subs), SCAN_CHUNK):
-        block = subs[lo : lo + SCAN_CHUNK]
-        GJ = gather_gram(G_flat, block, p)
-        yield block, GJ
-
-
-def _scan_min_eig(G: np.ndarray, s: int, want: str) -> tuple[float, float]:
-    """Extremes of lambda_min(G_J) over all size-s subsets, exactly.
-
-    For large scans the minimum uses a sampled starting value plus a
-    Gershgorin lower bound to skip subsets that provably cannot go below
-    it, and the maximum uses the min-diagonal upper bound the same way;
-    skipped subsets cannot change either extreme, so the result equals the
-    direct scan.
+    Rows are drawn in blocks of at most _SAMPLE_BLOCK_BYTES of uniforms;
+    the generator fills arrays in order, so the rows equal a one-shot draw.
     """
-    p = G.shape[0]
-    subs = subset_index_array(p, s)
-    m = len(subs)
-    G_flat = np.ascontiguousarray(G).ravel()
+    out = np.empty((count, s), dtype=np.intp)
+    rows = max(_SAMPLE_BLOCK_BYTES // (8 * p), 1)
+    for lo in range(0, count, rows):
+        u = rng.random((min(rows, count - lo), p))
+        out[lo : lo + len(u)] = np.sort(np.argpartition(u, s - 1, axis=1)[:, :s],
+                                        axis=1)
+    return out
+
+
+def _gram_chunks(G: np.ndarray, subs: np.ndarray):
+    """Gram blocks of the rows of `subs`, SCAN_CHUNK subsets at a time."""
+    for lo in range(0, len(subs), SCAN_CHUNK):
+        yield gather_gram(G, subs[lo : lo + SCAN_CHUNK])
+
+
+def _extreme_min_eig(G: np.ndarray, subs: np.ndarray, want: str,
+                     start: float | None = None) -> float:
+    """min or max (`want`) of lambda_min(G_J) over the rows J of `subs`.
+
+    Given `start`, a value attained by some subset, subsets that provably
+    cannot beat it are not eigensolved: for the minimum those whose
+    Gershgorin lower bound is >= start, for the maximum those whose
+    smallest diagonal entry (an upper bound on lambda_min) is <= start.
+    Skipped subsets cannot change the extreme, so the result equals the
+    unpruned scan.
+    """
+    pick, reduce = (min, np.min) if want == "min" else (max, np.max)
+    best = start
+    if best is None:
+        best = math.inf if want == "min" else -math.inf
+    for GJ in _gram_chunks(G, subs):
+        if start is not None:
+            diag = np.diagonal(GJ, axis1=1, axis2=2)
+            if want == "min":
+                keep = (2.0 * diag - np.abs(GJ).sum(axis=2)).min(axis=1) < best
+            else:
+                keep = diag.min(axis=1) > best
+            if not np.any(keep):
+                continue
+            GJ = GJ[keep]
+        best = pick(best, float(reduce(np.linalg.eigvalsh(GJ)[:, 0])))
+    return best
+
+
+def _scan_min_eig(G: np.ndarray, s: int, want: str) -> float:
+    """min or max (`want`) of lambda_min(G_J) over all size-s subsets, exactly.
+
+    Large scans start from the extreme of a fixed sample of subsets and
+    prune against it (see _extreme_min_eig).
+    """
     if s == 1:
         diag = np.diag(G)
-        return float(np.min(diag)), float(np.max(diag))
-
-    if m <= _DIRECT_LIMIT:
-        lo_val, hi_val = math.inf, -math.inf
-        for _, GJ in _chunked_min_eigs(G_flat, subs, p):
-            vals = np.linalg.eigvalsh(GJ)[:, 0]
-            lo_val = min(lo_val, float(vals.min()))
-            hi_val = max(hi_val, float(vals.max()))
-        return lo_val, hi_val
-
-    rng = np.random.default_rng(0)
-    samp = _sample_subsets(p, s, _PRUNE_SAMPLE, rng)
-    vals = np.linalg.eigvalsh(gather_gram(G_flat, samp, p))[:, 0]
-    best_min = float(vals.min())
-    best_max = float(vals.max())
-    need_max = want == "both"
-    for block, GJ in _chunked_min_eigs(G_flat, subs, p):
-        lower = (2.0 * np.diagonal(GJ, axis1=1, axis2=2)
-                 - np.abs(GJ).sum(axis=2)).min(axis=1)
-        keep = lower < best_min
-        if need_max:
-            upper = np.diagonal(GJ, axis1=1, axis2=2).min(axis=1)
-            keep |= upper > best_max
-        if np.any(keep):
-            ev = np.linalg.eigvalsh(GJ[keep])[:, 0]
-            best_min = min(best_min, float(ev.min()))
-            if need_max:
-                best_max = max(best_max, float(ev.max()))
-    return best_min, best_max
+        return float(diag.min() if want == "min" else diag.max())
+    p = G.shape[0]
+    subs = subset_index_array(p, s)
+    if len(subs) <= _DIRECT_LIMIT:
+        return _extreme_min_eig(G, subs, want)
+    sample = _sample_subsets(p, s, _PRUNE_SAMPLE, np.random.default_rng(0))
+    return _extreme_min_eig(G, subs, want, _extreme_min_eig(G, sample, want))
 
 
 def _normalized_gram(data: Dataset) -> np.ndarray:
     return data.gram / data.n
+
+
+def _restricted_singular(data: Dataset, s: int, mode: str, samples: int,
+                         seed: int, cap: int | None, want: str) -> float:
+    """sqrt of the `want` extreme of lambda_min(X_J'X_J/n) over size-s subsets,
+    over all of them (exact) or over `samples` uniform draws (mc)."""
+    if not (1 <= s <= data.p):
+        raise DomainError(f"s must be in [1, {data.p}]")
+    G = _normalized_gram(data)
+    if mode == "exact":
+        if s > 1:
+            check_cap(math.comb(data.p, s), cap)
+        lam = _scan_min_eig(G, s, want)
+    elif mode == "mc":
+        subs = _sample_subsets(data.p, s, samples, np.random.default_rng(seed))
+        lam = _extreme_min_eig(G, subs, want)
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
+    return math.sqrt(max(lam, 0.0))
 
 
 def min_restricted_singular(data: Dataset, s: int, mode: str = "exact",
@@ -96,23 +123,9 @@ def min_restricted_singular(data: Dataset, s: int, mode: str = "exact",
     Adding columns can only shrink the smallest singular value, so the
     minimum is attained at size exactly s.  Monte-carlo mode samples
     `samples` subsets uniformly and therefore returns an upper bound on
-    the exact value.
+    the exact value; the subset cap applies to exact mode only.
     """
-    _check_probe(data, s, cap)
-    G = _normalized_gram(data)
-    if mode == "exact":
-        lo, _ = _scan_min_eig(G, s, want="min")
-    elif mode == "mc":
-        rng = np.random.default_rng(seed)
-        subs = _sample_subsets(data.p, s, samples, rng)
-        lo = math.inf
-        G_flat = np.ascontiguousarray(G).ravel()
-        for start in range(0, samples, SCAN_CHUNK):
-            GJ = gather_gram(G_flat, subs[start : start + SCAN_CHUNK], data.p)
-            lo = min(lo, float(np.linalg.eigvalsh(GJ)[:, 0].min()))
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return math.sqrt(max(lo, 0.0))
+    return _restricted_singular(data, s, mode, samples, seed, cap, "min")
 
 
 def max_restricted_singular(data: Dataset, s: int, mode: str = "exact",
@@ -124,21 +137,7 @@ def max_restricted_singular(data: Dataset, s: int, mode: str = "exact",
     contains a smaller one that is at least as well conditioned).  In
     monte-carlo mode the sampled maximum is a lower bound.
     """
-    _check_probe(data, s, cap)
-    G = _normalized_gram(data)
-    if mode == "exact":
-        _, hi = _scan_min_eig(G, s, want="both")
-    elif mode == "mc":
-        rng = np.random.default_rng(seed)
-        subs = _sample_subsets(data.p, s, samples, rng)
-        hi = -math.inf
-        G_flat = np.ascontiguousarray(G).ravel()
-        for start in range(0, samples, SCAN_CHUNK):
-            GJ = gather_gram(G_flat, subs[start : start + SCAN_CHUNK], data.p)
-            hi = max(hi, float(np.linalg.eigvalsh(GJ)[:, 0].max()))
-    else:
-        raise DomainError(f"unknown mode {mode!r}")
-    return math.sqrt(max(hi, 0.0))
+    return _restricted_singular(data, s, mode, samples, seed, cap, "max")
 
 
 def subset_min_singular(data: Dataset, J) -> float:
@@ -164,17 +163,15 @@ def min_fullrank_singular_estimate(data: Dataset, samples: int = 10_000,
     cap = max_size if max_size is not None else min(data.n, data.p)
     best = math.inf
     G = _normalized_gram(data)
-    G_flat = np.ascontiguousarray(G).ravel()
     per_size = max(samples // cap, 1)
     cutoff = math.sqrt(EPS_RANK)
     for s in range(1, cap + 1):
         count = min(per_size, math.comb(data.p, s))
-        subs = _sample_subsets(data.p, s, count, rng)
-        vals = np.linalg.eigvalsh(gather_gram(G_flat, subs, data.p))[:, 0]
-        nu = np.sqrt(np.maximum(vals, 0.0))
-        ok = nu[nu > cutoff]
-        if len(ok):
-            best = min(best, float(ok.min()))
+        for GJ in _gram_chunks(G, _sample_subsets(data.p, s, count, rng)):
+            nu = np.sqrt(np.maximum(np.linalg.eigvalsh(GJ)[:, 0], 0.0))
+            ok = nu[nu > cutoff]
+            if len(ok):
+                best = min(best, float(ok.min()))
     return best
 
 
@@ -212,12 +209,10 @@ def covariance_subset_bounds(Sigma, s: int) -> tuple[float, float]:
     if not (1 <= s <= p):
         raise DomainError(f"s must be in [1, {p}]")
     # both extremes are attained at size exactly s (interlacing)
-    subs = subset_index_array(p, s)
-    S_flat = np.ascontiguousarray(Sigma).ravel()
     eta = -math.inf
     lam = math.inf
-    for lo in range(0, len(subs), SCAN_CHUNK):
-        vals = np.linalg.eigvalsh(gather_gram(S_flat, subs[lo : lo + SCAN_CHUNK], p))
+    for block in _gram_chunks(Sigma, subset_index_array(p, s)):
+        vals = np.linalg.eigvalsh(block)
         lo_vals, hi_vals = vals[:, 0], vals[:, -1]
         lam = min(lam, float(lo_vals.min()))
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -263,10 +258,3 @@ def design_report(data: Dataset, s: int, mode: str = "exact",
     return DesignReport(s=s, min_singular=nu, max_singular=kappa, mode=mode,
                         samples=samples if mode == "mc" else None,
                         identifiable_2s=ident, signal_threshold=thr)
-
-
-def _check_probe(data: Dataset, s: int, cap: int | None = None) -> None:
-    if not (1 <= s <= data.p):
-        raise DomainError(f"s must be in [1, {data.p}]")
-    if s > 1:
-        check_cap(math.comb(data.p, s), cap)

@@ -71,39 +71,25 @@ def subset_rank(subset, p: int) -> int:
     return rank
 
 
-def gather_gram(G_flat: np.ndarray, subs: np.ndarray, p: int) -> np.ndarray:
-    """Per-subset Gram blocks via a single linear take: (m, s, s)."""
-    lin = subs[:, :, None] * p + subs[:, None, :]
-    return G_flat[lin.reshape(len(subs), -1)].reshape(-1, subs.shape[1], subs.shape[1])
+def gather_gram(G: np.ndarray, subs: np.ndarray) -> np.ndarray:
+    """Per-subset Gram blocks G[J, J] for each row J of subs: (m, s, s)."""
+    return G[subs[:, :, None], subs[:, None, :]]
 
 
 def batched_rss(G, b, yty, subs, eps_n):
-    """RSS of the minimum-norm fit for each subset row, plus min Gram eigenvalue.
+    """Minimum-norm least-squares fit of each subset row from one eigh.
 
-    Uses the eigendecomposition of each Gram block, dropping directions with
-    eigenvalue <= eps_n (the shared rank rule), which matches the
-    pseudo-inverse fit exactly.
+    Returns (rss, min_eig, beta): the residual sum of squares, the smallest
+    Gram eigenvalue and the (m, s) coefficient rows.  Directions with
+    eigenvalue <= eps_n (the shared rank rule) are dropped, which matches
+    the pseudo-inverse fit exactly.
     """
     m, s = subs.shape
     if s == 0:
-        return np.full(m, yty), np.full(m, np.inf)
-    GJ = gather_gram(np.ascontiguousarray(G).ravel(), subs, G.shape[0])
-    vals, vecs = np.linalg.eigh(GJ)
-    bJ = b[subs]
-    proj = np.einsum("mij,mi->mj", vecs, bJ)
+        return np.full(m, yty), np.full(m, np.inf), np.empty((m, 0))
+    vals, vecs = np.linalg.eigh(gather_gram(G, subs))
+    proj = np.einsum("mij,mi->mj", vecs, b[subs])
     inv = np.where(vals > eps_n, 1.0 / np.where(vals > eps_n, vals, 1.0), 0.0)
     rss = yty - np.einsum("mj,mj->m", proj * proj, inv)
-    return np.maximum(rss, 0.0), vals[:, 0]
-
-
-def batched_beta(G, b, subs, eps_n):
-    """Minimum-norm coefficient rows for each subset: shape (m, s)."""
-    m, s = subs.shape
-    if s == 0:
-        return np.empty((m, 0))
-    GJ = gather_gram(np.ascontiguousarray(G).ravel(), subs, G.shape[0])
-    vals, vecs = np.linalg.eigh(GJ)
-    bJ = b[subs]
-    proj = np.einsum("mij,mi->mj", vecs, bJ)
-    inv = np.where(vals > eps_n, 1.0 / np.where(vals > eps_n, vals, 1.0), 0.0)
-    return np.einsum("mij,mj->mi", vecs, proj * inv)
+    beta = np.einsum("mij,mj->mi", vecs, proj * inv)
+    return np.maximum(rss, 0.0), vals[:, 0], beta

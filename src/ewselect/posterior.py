@@ -13,9 +13,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .enumeration import (ENUMERATION_CAP, SCAN_CHUNK, batched_beta,
-                          batched_rss, check_cap, subset_count,
-                          subset_index_array, subset_rank)
+from .enumeration import (ENUMERATION_CAP, SCAN_CHUNK, batched_rss,
+                          check_cap, subset_count, subset_index_array,
+                          subset_rank)
 from .errors import DomainError
 from .priors import NEG_INF, PosteriorConfig, log_prior, log_prior_table
 from .subsets import EPS_RANK, _check_subset, least_squares_min_norm, residual_ss
@@ -36,18 +36,24 @@ class _SizeBlock:
     subsets: np.ndarray      # (m, size) lexicographic
     log_weight: np.ndarray   # (m,)
     prob: np.ndarray         # (m,)
-    min_eig: np.ndarray      # (m,) smallest Gram eigenvalue per subset
 
 
 @dataclass
 class PosteriorTable:
-    """Exhaustive normalized posterior over all supports up to the cap."""
+    """Exhaustive normalized posterior over all supports up to the cap.
+
+    mean_beta is the posterior mean of the minimum-norm fits;
+    restricted_mean_beta keeps only the full-rank supports, with their
+    original weights (a sub-probability average, not a renormalized one).
+    """
 
     p: int
     blocks: list[_SizeBlock] = field(repr=False)
     log_normalizer: float
     map_subset: tuple[int, ...]
     map_log_weight: float
+    mean_beta: np.ndarray = field(repr=False)
+    restricted_mean_beta: np.ndarray = field(repr=False)
 
     @property
     def n_entries(self) -> int:
@@ -101,16 +107,18 @@ def enumerate_posterior(data: Dataset, cfg: PosteriorConfig,
     twos2 = 2.0 * cfg.sigma2
 
     blocks: list[_SizeBlock] = []
+    fits = []   # (size, first row, beta rows, full rank) per scanned chunk
     for s in range(s_max + 1):
         subs = subset_index_array(p, s)
         m = len(subs)
         rss = np.empty(m)
-        mineig = np.empty(m)
         for lo in range(0, m, SCAN_CHUNK):
             hi = min(lo + SCAN_CHUNK, m)
-            rss[lo:hi], mineig[lo:hi] = batched_rss(G, b, yty, subs[lo:hi], eps_n)
+            rss[lo:hi], min_eig, beta = batched_rss(G, b, yty, subs[lo:hi], eps_n)
+            if s:
+                fits.append((s, lo, beta, min_eig > eps_n))
         logw = lp[s] - rss / twos2
-        blocks.append(_SizeBlock(s, subs, logw, np.empty(m), mineig))
+        blocks.append(_SizeBlock(s, subs, logw, np.empty(m)))
 
     peak = max(float(np.max(b.log_weight)) for b in blocks)
     total_mass = sum(float(np.sum(np.exp(b.log_weight - peak))) for b in blocks)
@@ -125,8 +133,19 @@ def enumerate_posterior(data: Dataset, cfg: PosteriorConfig,
             map_lw = float(b.log_weight[i])
             map_subset = tuple(int(v) for v in b.subsets[i])
 
+    mean = np.zeros(p)
+    restricted = np.zeros(p)
+    for s, lo, beta, ok in fits:
+        subs = blocks[s].subsets[lo : lo + len(beta)]
+        wb = blocks[s].prob[lo : lo + len(beta), None] * beta
+        mean += np.bincount(subs.ravel(), weights=wb.ravel(), minlength=p)
+        if np.any(ok):
+            restricted += np.bincount(subs[ok].ravel(),
+                                      weights=wb[ok].ravel(), minlength=p)
+
     return PosteriorTable(p=p, blocks=blocks, log_normalizer=float(log_norm),
-                          map_subset=map_subset, map_log_weight=map_lw)
+                          map_subset=map_subset, map_log_weight=map_lw,
+                          mean_beta=mean, restricted_mean_beta=restricted)
 
 
 class ExactEstimators(NamedTuple):
@@ -139,28 +158,11 @@ class ExactEstimators(NamedTuple):
 def exact_estimators(table: PosteriorTable, data: Dataset) -> ExactEstimators:
     """MAP refit, posterior-mean fit, and the mean restricted to full-rank supports.
 
-    The restricted mean keeps the original posterior weights (it is a
-    sub-probability average, not a renormalized one).
+    Both means were accumulated during enumeration; only the MAP support
+    is refitted here.
     """
     if table.n_entries == 0:
         raise DomainError("posterior table is empty")
-    p = data.p
-    eps_n = EPS_RANK * data.n
-    mean = np.zeros(p)
-    restricted = np.zeros(p)
-    for blk in table.blocks:
-        if blk.size == 0:
-            continue
-        m = len(blk.subsets)
-        for lo in range(0, m, SCAN_CHUNK):
-            hi = min(lo + SCAN_CHUNK, m)
-            subs = blk.subsets[lo:hi]
-            betas = batched_beta(data.gram, data.xty, subs, eps_n)
-            wb = blk.prob[lo:hi, None] * betas
-            mean += np.bincount(subs.ravel(), weights=wb.ravel(), minlength=p)
-            ok = blk.min_eig[lo:hi] > eps_n
-            if np.any(ok):
-                restricted += np.bincount(subs[ok].ravel(),
-                                          weights=wb[ok].ravel(), minlength=p)
     map_beta = least_squares_min_norm(data, table.map_subset)
-    return ExactEstimators(table.map_subset, map_beta, mean, restricted)
+    return ExactEstimators(table.map_subset, map_beta, table.mean_beta.copy(),
+                           table.restricted_mean_beta.copy())

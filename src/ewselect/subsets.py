@@ -97,12 +97,6 @@ class SubsetState:
             self._beta = (idx, val)
         return self._beta
 
-    def beta_dense(self, data: Dataset) -> np.ndarray:
-        idx, val = self.beta_sparse(data)
-        out = np.zeros(data.p)
-        out[idx] = val
-        return out
-
     def __repr__(self):
         return (f"SubsetState(J={self.support}, rss={self.rss:.6g}, "
                 f"log_weight={self.log_weight:.6g}, full_rank={self.full_rank})")

@@ -160,6 +160,19 @@ class TestDiagnoseCommand:
         path = planted_csv[0]
         assert main(["diagnose", str(path), "--s", "0"]) == 2
 
+    def test_mc_mode_beyond_exhaustive_cap(self, tmp_path, rng, capsys):
+        n, p = 100, 200
+        path = tmp_path / "wide.csv"
+        write_dataset_csv(path, rng.standard_normal((n, p)),
+                          rng.standard_normal(n))
+        code = main(["diagnose", str(path), "--s", "5", "--mode", "mc",
+                     "--samples", "1000"])
+        assert code == 0
+        (row,) = csv.DictReader(io.StringIO(capsys.readouterr().out))
+        assert row["mode"] == "mc" and row["samples"] == "1000"
+        assert 0.0 < float(row["min_singular"]) <= float(row["max_singular"])
+        assert main(["diagnose", str(path), "--s", "5"]) == 2
+
 
 class TestExperimentCommand:
     def test_end_to_end(self, tmp_path, capsys):

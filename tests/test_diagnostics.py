@@ -92,6 +92,32 @@ class TestRestrictedSingularValues:
         with pytest.raises(DomainError):
             min_restricted_singular(d, 0)
 
+    def test_mc_mode_ignores_exhaustive_cap(self, rng):
+        # C(200, 5) is about 2.5e9 subsets, far over the cap, but mc mode
+        # only eigensolves the sampled ones
+        X = rng.standard_normal((100, 200))
+        d = Dataset(X, rng.standard_normal(100))
+        lo = min_restricted_singular(d, 5, mode="mc", samples=1000)
+        hi = max_restricted_singular(d, 5, mode="mc", samples=1000)
+        assert 0.0 < lo <= hi
+        rep = design_report(d, 5, mode="mc", samples=1000)
+        assert (rep.min_singular, rep.max_singular) == (lo, hi)
+        assert rep.identifiable_2s is None
+        with pytest.raises(TooLargeError):
+            min_restricted_singular(d, 5)
+        for s in (0, 201):
+            with pytest.raises(DomainError):
+                min_restricted_singular(d, s, mode="mc")
+
+    def test_sample_blocks_equal_one_shot_draw(self, monkeypatch):
+        p, s, count = 13, 4, 7
+        u = np.random.default_rng(5).random((count, p))
+        one_shot = np.sort(np.argpartition(u, s - 1, axis=1)[:, :s], axis=1)
+        monkeypatch.setattr(diag, "_SAMPLE_BLOCK_BYTES", 3 * p * 8)
+        blocked = diag._sample_subsets(p, s, count, np.random.default_rng(5))
+        np.testing.assert_array_equal(blocked, one_shot)
+        assert blocked.dtype == np.intp
+
     def test_subset_min_singular(self, rng):
         X = rng.standard_normal((18, 7))
         d = Dataset(X, rng.standard_normal(18))
