@@ -14,7 +14,8 @@ from .data import Dataset
 from .enumeration import (SCAN_CHUNK, batched_rss, check_cap, subset_count,
                           subset_index_array)
 from .errors import DomainError, NotConvergedError, SingularError
-from .subsets import EPS_RANK, least_squares_min_norm, residual_ss
+from .subsets import (EPS_RANK, _check_subset, least_squares_min_norm,
+                      residual_ss)
 
 
 @dataclass(frozen=True)
@@ -208,29 +209,27 @@ def lasso_kkt_violation(data: Dataset, beta, lam: float) -> float:
     return float(np.max(viol)) if data.p else 0.0
 
 
-def inverse_gram_sign_norm(data: Dataset, support, signs=None) -> float:
-    """sup-norm of (X_S'X_S/n)^{-1} s for the sign vector s of the support."""
-    idx = np.asarray(sorted(int(v) for v in support), dtype=np.intp)
+def _sign_solve(data: Dataset, support, signs):
+    """Validated (support indices, X_S, (X_S'X_S/n)^{-1} s) for the sign checks."""
+    idx = np.asarray(_check_subset(support, data.p), dtype=np.intp)
     if len(idx) == 0:
         raise DomainError("support must be nonempty")
     signs = np.ones(len(idx)) if signs is None else np.asarray(signs, dtype=np.float64)
     if signs.shape != (len(idx),):
         raise DomainError("signs must match the support length")
     XS = data.X[:, idx]
-    psi = XS.T @ XS / data.n
-    w = _solve_spd(psi, signs)
+    return idx, XS, _solve_spd(XS.T @ XS / data.n, signs)
+
+
+def inverse_gram_sign_norm(data: Dataset, support, signs=None) -> float:
+    """sup-norm of (X_S'X_S/n)^{-1} s for the sign vector s of the support."""
+    _, _, w = _sign_solve(data, support, signs)
     return float(np.max(np.abs(w)))
 
 
 def irrepresentable_check(data: Dataset, support, signs=None):
     """Whether max_{k not in S} |X_k' X_S (X_S'X_S)^{-1} s| / n < 1, with margin."""
-    idx = np.asarray(sorted(int(v) for v in support), dtype=np.intp)
-    if len(idx) == 0:
-        raise DomainError("support must be nonempty")
-    signs = np.ones(len(idx)) if signs is None else np.asarray(signs, dtype=np.float64)
-    XS = data.X[:, idx]
-    psi = XS.T @ XS / data.n
-    w = _solve_spd(psi, signs)
+    idx, XS, w = _sign_solve(data, support, signs)
     outside = np.setdiff1d(np.arange(data.p), idx)
     if len(outside) == 0:
         return True, 1.0

@@ -108,6 +108,8 @@ def _restricted_singular(data: Dataset, s: int, mode: str, samples: int,
             check_cap(math.comb(data.p, s), cap)
         lam = _scan_min_eig(G, s, want)
     elif mode == "mc":
+        if samples < 1:
+            raise DomainError("samples must be >= 1")
         subs = _sample_subsets(data.p, s, samples, np.random.default_rng(seed))
         lam = _extreme_min_eig(G, subs, want)
     else:

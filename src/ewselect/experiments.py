@@ -283,49 +283,46 @@ def _g17(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def emit(summary: ExperimentSummary, out_dir,
-         formats: tuple[str, ...] = ("csv", "svg")) -> list[str]:
+def emit(summary: ExperimentSummary, out_dir) -> list[str]:
     """Write summary.csv, reps.csv, and per-metric boxplots; returns paths."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
-    if "csv" in formats:
-        reps_path = os.path.join(out_dir, "reps.csv")
-        with open(reps_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_REPS_HEADER)
-            for r in summary.records:
-                w.writerow([r.rep, r.method, int(r.ok), _g17(r.linf),
-                            _g17(r.l2), r.false_positives, r.true_positives,
-                            r.support_size])
-        written.append(reps_path)
-        summary_path = os.path.join(out_dir, "summary.csv")
-        with open(summary_path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(_SUMMARY_HEADER)
-            for m in summary.spec.methods:
-                s = summary.methods[m]
-                w.writerow([s.method, s.reps_ok, _g17(s.mean_linf),
-                            _g17(s.sd_linf), _g17(s.mean_l2), _g17(s.sd_l2),
-                            _g17(s.mean_fp), _g17(s.tp_rate),
-                            _g17(summary.lasso_a)])
-        written.append(summary_path)
-    if "svg" in formats:
-        for metric, label in (("linf", "sup-norm error"),
-                              ("l2", "Euclidean error"),
-                              ("fp", "false positives")):
-            groups = {}
-            for m in summary.spec.methods:
-                vals = [getattr(r, {"linf": "linf", "l2": "l2",
-                                    "fp": "false_positives"}[metric])
-                        for r in summary.records if r.method == m and r.ok]
-                if vals:
-                    groups[m] = vals
-            if not groups:
-                continue
-            path = os.path.join(out_dir, f"boxplot_{metric}.svg")
-            with open(path, "w") as fh:
-                fh.write(boxplot_svg(groups, title=label, ylabel=label))
-            written.append(path)
+    reps_path = os.path.join(out_dir, "reps.csv")
+    with open(reps_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(_REPS_HEADER)
+        for r in summary.records:
+            w.writerow([r.rep, r.method, int(r.ok), _g17(r.linf),
+                        _g17(r.l2), r.false_positives, r.true_positives,
+                        r.support_size])
+    written.append(reps_path)
+    summary_path = os.path.join(out_dir, "summary.csv")
+    with open(summary_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(_SUMMARY_HEADER)
+        for m in summary.spec.methods:
+            s = summary.methods[m]
+            w.writerow([s.method, s.reps_ok, _g17(s.mean_linf),
+                        _g17(s.sd_linf), _g17(s.mean_l2), _g17(s.sd_l2),
+                        _g17(s.mean_fp), _g17(s.tp_rate),
+                        _g17(summary.lasso_a)])
+    written.append(summary_path)
+    for metric, label in (("linf", "sup-norm error"),
+                          ("l2", "Euclidean error"),
+                          ("fp", "false positives")):
+        groups = {}
+        for m in summary.spec.methods:
+            vals = [getattr(r, {"linf": "linf", "l2": "l2",
+                                "fp": "false_positives"}[metric])
+                    for r in summary.records if r.method == m and r.ok]
+            if vals:
+                groups[m] = vals
+        if not groups:
+            continue
+        path = os.path.join(out_dir, f"boxplot_{metric}.svg")
+        with open(path, "w") as fh:
+            fh.write(boxplot_svg(groups, title=label, ylabel=label))
+        written.append(path)
     return written
 
 

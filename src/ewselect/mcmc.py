@@ -1,9 +1,10 @@
 """Metropolis-Hastings sampler over supports and its estimators.
 
-The kernel mixes two symmetric proposals: flip (toggle one uniformly chosen
-coordinate) and swap (exchange a uniform member for a uniform non-member),
-so acceptance reduces to the posterior ratio that the subset states already
-maintain.  run_chain memoizes per-support log-weights and states keyed by
+One kernel, _walk, serves run_chain and mh_step.  It mixes two symmetric
+proposals: flip (toggle one uniformly chosen coordinate) and swap (exchange
+a uniform member for a uniform non-member, drawn by rejection), so
+acceptance reduces to the posterior ratio that the subset states already
+maintain.  The kernel memoizes per-support log-weights and states keyed by
 bitmask; memoization only caches deterministic quantities, so the sampled
 law is identical to the plain kernel.
 """
@@ -116,35 +117,15 @@ def map_refit(acc: ChainAccumulators, data: Dataset):
 
 def mh_step(state: SubsetState, data: Dataset, rng,
             move_mix: tuple[float, float] = (0.5, 0.5)) -> SubsetState:
-    """One reversible transition; returns the new state (same object if rejected).
+    """One step of run_chain's kernel; returns the new state (same object if rejected).
 
     Both proposals are symmetric, so the acceptance probability is
     min(1, exp(delta log-weight)); a flip that would exceed the support cap
-    is an immediate rejection.
+    is an immediate rejection.  The step draws its uniforms one at a time,
+    so it consumes `rng` differently from run_chain's blocked draws, with
+    the same transition law.
     """
-    pcfg = state.cfg
-    p = data.p
-    sbar = min(pcfg.max_support, p)
-    size = state.size
-    if rng.random() < move_mix[0]:
-        j = int(rng.integers(p))
-        if j in state.support:
-            cand = update_remove(state, j, data)
-        else:
-            if size == sbar:
-                return state
-            cand = update_add(state, j, data)
-    else:
-        if size == 0 or size == p:
-            return state
-        j = state.support[int(rng.integers(size))]
-        members = set(state.support)
-        nonmembers = [k for k in range(p) if k not in members]
-        k = nonmembers[int(rng.integers(len(nonmembers)))]
-        cand = update_add(update_remove(state, j, data), k, data)
-    if cand.log_weight - state.log_weight > math.log(rng.random()):
-        return cand
-    return state
+    return _walk(data, state.cfg, state, 1, 0, move_mix, rng, 1, None)[0]
 
 
 def _initial_support(data: Dataset, pcfg: PosteriorConfig, init) -> tuple[int, ...]:
@@ -173,18 +154,34 @@ def _state_cache_cap(sbar: int) -> int:
     return max(256, min(100_000, STATE_CACHE_BYTES // per_state))
 
 
-def _run_single(data: Dataset, pcfg: PosteriorConfig, ccfg: ChainConfig,
-                seed_seq, trace_rows) -> ChainAccumulators:
-    rng = np.random.default_rng(seed_seq)
+def _swap_intermediate(state: SubsetState, j: int, inter_mask: int,
+                       data: Dataset, states: dict, state_cap: int,
+                       logws: dict | None) -> SubsetState:
+    """Memoized state for support - {j} on a swap; a newly built one's
+    log-weight is memoized too when `logws` is given (the evaluation path)."""
+    inter = states.get(inter_mask)
+    if inter is None:
+        inter = update_remove(state, j, data)
+        if len(states) < state_cap:
+            states[inter_mask] = inter
+        if logws is not None and inter_mask not in logws and \
+                len(logws) < LOGW_CACHE_CAP:
+            logws[inter_mask] = inter.log_weight
+    return inter
+
+
+def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
+          burn: int, samples: int, move_mix: tuple[float, float], rng,
+          block: int, trace_rows) -> tuple[SubsetState, ChainAccumulators]:
+    """burn + samples Metropolis steps from `state`: (final state, sums over
+    the last `samples` steps).  Uniforms are drawn `block` at a time."""
     p = data.p
     sbar = min(pcfg.max_support, p)
     lp = log_prior_table(p, pcfg)
     twos2 = 2.0 * pcfg.sigma2
-    p_flip = ccfg.move_mix[0]
-    burn = ccfg.burn_in
-    total = burn + ccfg.samples
+    p_flip = move_mix[0]
+    total = burn + samples
 
-    state = make_state(data, _initial_support(data, pcfg, ccfg.init), pcfg)
     mask = 0
     for j in state.support:
         mask |= 1 << j
@@ -201,7 +198,7 @@ def _run_single(data: Dataset, pcfg: PosteriorConfig, ccfg: ChainConfig,
     accepted = 0
     run_len = 0
 
-    pool = rng.random(_BLOCK)
+    pool = rng.random(block)
     pool_i = 0
     move_u = coord_u = logacc = None
 
@@ -222,15 +219,13 @@ def _run_single(data: Dataset, pcfg: PosteriorConfig, ccfg: ChainConfig,
             visit_overflow += n_steps
 
     for t in range(total):
-        i = t % _BLOCK
+        i = t % block
         if i == 0:
-            move_u = rng.random(_BLOCK)
-            coord_u = rng.random(_BLOCK)
-            logacc = np.log(rng.random(_BLOCK))
+            move_u = rng.random(block)
+            coord_u = rng.random(block)
+            logacc = np.log(rng.random(block))
         size = len(state.support)
         kind = -1
-        inter_mask = -1
-        j = k = -1
         if move_u[i] < p_flip:
             j = int(coord_u[i] * p)
             jbit = 1 << j
@@ -246,8 +241,8 @@ def _run_single(data: Dataset, pcfg: PosteriorConfig, ccfg: ChainConfig,
             kind = 2
             j = state.support[int(coord_u[i] * size)]
             while True:
-                if pool_i >= _BLOCK:
-                    pool = rng.random(_BLOCK)
+                if pool_i >= block:
+                    pool = rng.random(block)
                     pool_i = 0
                 k = int(pool[pool_i] * p)
                 pool_i += 1
@@ -267,14 +262,8 @@ def _run_single(data: Dataset, pcfg: PosteriorConfig, ccfg: ChainConfig,
                 elif kind == 1:
                     rss_c = peek_rss_remove(state, j, data)
                 else:
-                    inter = states.get(inter_mask)
-                    if inter is None:
-                        inter = update_remove(state, j, data)
-                        if len(states) < state_cap:
-                            states[inter_mask] = inter
-                        if inter_mask not in logws and \
-                                len(logws) < LOGW_CACHE_CAP:
-                            logws[inter_mask] = inter.log_weight
+                    inter = _swap_intermediate(state, j, inter_mask, data,
+                                               states, state_cap, logws)
                     rss_c = peek_rss_add(inter, k, data)
                 lw_c = float(lp[cand_size]) - rss_c / twos2
                 if len(logws) < LOGW_CACHE_CAP:
@@ -290,11 +279,9 @@ def _run_single(data: Dataset, pcfg: PosteriorConfig, ccfg: ChainConfig,
                         new_state = update_remove(state, j, data)
                     else:
                         if inter is None:
-                            inter = states.get(inter_mask)
-                        if inter is None:
-                            inter = update_remove(state, j, data)
-                            if len(states) < state_cap:
-                                states[inter_mask] = inter
+                            inter = _swap_intermediate(state, j, inter_mask,
+                                                       data, states, state_cap,
+                                                       None)
                         new_state = update_add(inter, k, data)
                     if len(states) < state_cap:
                         states[cand_mask] = new_state
@@ -313,8 +300,8 @@ def _run_single(data: Dataset, pcfg: PosteriorConfig, ccfg: ChainConfig,
             trace_rows.append((t, len(state.support), lw_cur, int(acc_flag)))
 
     flush(run_len)
-    return ChainAccumulators(
-        p=p, samples=ccfg.samples, mean_sum=mean_sum, restricted_sum=restr_sum,
+    return state, ChainAccumulators(
+        p=p, samples=samples, mean_sum=mean_sum, restricted_sum=restr_sum,
         best_support=best_support, best_log_weight=best_lw,
         visit_counts=visits, visit_overflow=visit_overflow,
         accepted=accepted, proposals=total, chains=1,
@@ -356,7 +343,11 @@ def run_chain(data: Dataset, pcfg: PosteriorConfig,
         ccfg = ChainConfig()
     seeds = np.random.SeedSequence(ccfg.seed).spawn(ccfg.chains)
     trace_rows = [] if ccfg.trace_path is not None else None
-    parts = [_run_single(data, pcfg, ccfg, s, trace_rows) for s in seeds]
+    start = _initial_support(data, pcfg, ccfg.init)
+    parts = [_walk(data, pcfg, make_state(data, start, pcfg), ccfg.burn_in,
+                   ccfg.samples, ccfg.move_mix, np.random.default_rng(s),
+                   _BLOCK, trace_rows)[1]
+             for s in seeds]
     acc = _merge(parts)
     acc.visit_counts = {
         _mask_to_support(mk): cnt for mk, cnt in acc.visit_counts.items()

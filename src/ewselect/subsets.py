@@ -114,13 +114,6 @@ def empty_state(data: Dataset, cfg: PosteriorConfig) -> SubsetState:
                        rss, _log_weight(cfg, data.p, 0, rss), 0.0, cfg)
 
 
-def _degenerate_state(data, cfg, support) -> SubsetState:
-    rss = residual_ss(data, support)
-    return SubsetState(support, np.asarray(support, dtype=np.intp),
-                       None, None, rss,
-                       _log_weight(cfg, data.p, len(support), rss), 0.0, cfg)
-
-
 def make_state(data: Dataset, J, cfg: PosteriorConfig) -> SubsetState:
     """Build the state for support J from scratch (drift resets to zero).
 
@@ -135,42 +128,12 @@ def make_state(data: Dataset, J, cfg: PosteriorConfig) -> SubsetState:
     return state
 
 
-def peek_rss_add(state: SubsetState, j: int, data: Dataset) -> float:
-    """RSS of support + {j} without building the new state.
-
-    Returns the dense-fallback value when the extension is rank-deficient.
-    """
-    if state.chol is None:
-        return residual_ss(data, state.support + (j,))
+def _schur_step(state: SubsetState, j: int, data: Dataset):
+    """(new factor row, squared pivot, new qty entry) for appending column j
+    to a full-rank state; None when the pivot falls under the rank rule."""
     G = data.gram
     d = G[j, j]
-    s = state.size
-    if s == 0:
-        sc = d
-        dot_wq = 0.0
-    else:
-        c = G[state.order, j]
-        w = solve_triangular(state.chol, c, lower=True, check_finite=False)
-        sc = d - float(w @ w)
-        dot_wq = float(w @ state.qty)
-    if sc <= EPS_RANK * data.n:
-        return residual_ss(data, _check_subset(state.support + (j,), data.p))
-    t_new = (data.xty[j] - dot_wq) / math.sqrt(sc)
-    return max(state.rss - t_new * t_new, 0.0)
-
-
-def _extend_state(state: SubsetState, j: int, data: Dataset) -> SubsetState:
-    """Raw one-column extension (no drift-triggered refactorization)."""
-    j = int(j)
-    if j in state.support:
-        raise DomainError(f"column {j} already in support")
-    support = _check_subset(state.support + (j,), data.p)
-    if state.chol is None:
-        return _degenerate_state(data, state.cfg, support)
-    G = data.gram
-    d = G[j, j]
-    s = state.size
-    if s == 0:
+    if state.size == 0:
         w = np.empty(0)
         sc = float(d)
         dot_wq = 0.0
@@ -180,19 +143,47 @@ def _extend_state(state: SubsetState, j: int, data: Dataset) -> SubsetState:
         sc = float(d - w @ w)
         dot_wq = float(w @ state.qty)
     if sc <= EPS_RANK * data.n:
-        return _degenerate_state(data, state.cfg, support)
-    ell = math.sqrt(sc)
-    t_new = (data.xty[j] - dot_wq) / ell
+        return None
+    return w, sc, (data.xty[j] - dot_wq) / math.sqrt(sc)
+
+
+def peek_rss_add(state: SubsetState, j: int, data: Dataset) -> float:
+    """RSS of support + {j} without building the new state.
+
+    Returns the dense-fallback value when the extension is rank-deficient.
+    """
+    step = None if state.chol is None else _schur_step(state, j, data)
+    if step is None:
+        return residual_ss(data, state.support + (j,))
+    t_new = step[2]
+    return max(state.rss - t_new * t_new, 0.0)
+
+
+def _extend_state(state: SubsetState, j: int, data: Dataset) -> SubsetState:
+    """Raw one-column extension (no drift-triggered refactorization)."""
+    j = int(j)
+    if j in state.support:
+        raise DomainError(f"column {j} already in support")
+    support = _check_subset(state.support + (j,), data.p)
+    step = None if state.chol is None else _schur_step(state, j, data)
+    if step is None:
+        rss = residual_ss(data, support)
+        return SubsetState(support, np.asarray(support, dtype=np.intp),
+                           None, None, rss,
+                           _log_weight(state.cfg, data.p, len(support), rss),
+                           0.0, state.cfg)
+    w, sc, t_new = step
     rss = max(state.rss - t_new * t_new, 0.0)
 
+    s = state.size
     chol = np.zeros((s + 1, s + 1))
     chol[:s, :s] = state.chol
     chol[s, :s] = w
-    chol[s, s] = ell
+    chol[s, s] = math.sqrt(sc)
     qty = np.append(state.qty, t_new)
     order = np.append(state.order, j)
 
-    drift = state.drift + _EPS * (state.rss + t_new * t_new + d / sc)
+    drift = state.drift + _EPS * (state.rss + t_new * t_new + data.gram[j, j] / sc)
     return SubsetState(support, order, chol, qty, rss,
                        _log_weight(state.cfg, data.p, s + 1, rss),
                        drift, state.cfg)
@@ -268,13 +259,25 @@ def update_remove(state: SubsetState, j: int, data: Dataset) -> SubsetState:
                        drift, state.cfg)
 
 
+def _svd_fit(data: Dataset, support: tuple[int, ...]):
+    """(minimum-norm coefficients in `support` order, rss) from the SVD of
+    X_J, dropping directions with squared singular value <= EPS_RANK * n."""
+    XJ = data.X[:, np.asarray(support, dtype=np.intp)]
+    U, svals, Vt = np.linalg.svd(XJ, full_matrices=False)
+    keep = svals * svals > EPS_RANK * data.n
+    Uk = U[:, keep]
+    uty = Uk.T @ data.y
+    r = data.y - Uk @ uty
+    return Vt[keep].T @ (uty / svals[keep]), float(r @ r)
+
+
 def least_squares_min_norm(data: Dataset, J) -> np.ndarray:
     """Minimum-Euclidean-norm least-squares fit supported on J, embedded in R^p.
 
     Full-column-rank supports (every Cholesky pivot above the shared rank
-    rule) use the normal equations; anything else falls back to an
-    SVD-based pseudo-inverse solve, which keeps the fit unique even when
-    the columns of X_J are linearly dependent.
+    rule) use the normal equations; anything else falls back to the SVD fit
+    that residual_ss uses, which drops the directions under the same rule,
+    so the fit is unique even when the columns of X_J are dependent.
     """
     support = _check_subset(J, data.p)
     beta = np.zeros(data.p)
@@ -293,23 +296,18 @@ def least_squares_min_norm(data: Dataset, J) -> np.ndarray:
         beta[idx] = solve_triangular(L, w, lower=True, trans="T",
                                      check_finite=False)
     else:
-        beta[idx] = np.linalg.lstsq(XJ, data.y, rcond=None)[0]
+        beta[idx] = _svd_fit(data, support)[0]
     return beta
 
 
 def residual_ss(data: Dataset, J) -> float:
     """||P_J^perp y||^2: squared distance from y to the span of columns J.
 
-    Evaluated through an orthonormal basis of the span (SVD with the shared
-    rank rule), so the value does not depend on which minimum-norm
+    Evaluated through an orthonormal basis of the span (the SVD fit with the
+    shared rank rule), so the value does not depend on which minimum-norm
     representative is used and is stable for rank-deficient supports.
     """
     support = _check_subset(J, data.p)
     if not support:
         return data.yty
-    XJ = data.X[:, np.asarray(support, dtype=np.intp)]
-    U, svals, _ = np.linalg.svd(XJ, full_matrices=False)
-    keep = svals * svals > EPS_RANK * data.n
-    Uk = U[:, keep]
-    r = data.y - Uk @ (Uk.T @ data.y)
-    return float(r @ r)
+    return _svd_fit(data, support)[1]

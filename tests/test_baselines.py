@@ -205,6 +205,17 @@ class TestIrrepresentability:
         with pytest.raises(SingularError):
             inverse_gram_sign_norm(d, (0, 1), np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("support,signs", [
+        ((-1,), None), ((-1, 2), None), ((0, 0), None), ((6,), None),
+        ((0, 2), np.array([1.0])), ((0, 2), np.array([1.0, -1.0, 1.0])),
+    ])
+    def test_bad_support_or_signs_rejected(self, rng, support, signs):
+        d = Dataset(rng.standard_normal((30, 6)), rng.standard_normal(30))
+        with pytest.raises(DomainError):
+            inverse_gram_sign_norm(d, support, signs)
+        with pytest.raises(DomainError):
+            irrepresentable_check(d, support, signs)
+
 
 class TestNoiseEstimate:
     def test_recovers_variance_on_planted_instance(self):

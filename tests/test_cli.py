@@ -159,6 +159,9 @@ class TestDiagnoseCommand:
     def test_validation(self, planted_csv):
         path = planted_csv[0]
         assert main(["diagnose", str(path), "--s", "0"]) == 2
+        for samples in ("0", "-3"):
+            assert main(["diagnose", str(path), "--s", "2", "--mode", "mc",
+                         "--samples", samples]) == 2
 
     def test_mc_mode_beyond_exhaustive_cap(self, tmp_path, rng, capsys):
         n, p = 100, 200

@@ -109,6 +109,14 @@ class TestRestrictedSingularValues:
             with pytest.raises(DomainError):
                 min_restricted_singular(d, s, mode="mc")
 
+    def test_mc_samples_validated(self, rng):
+        d = Dataset(rng.standard_normal((20, 6)), rng.standard_normal(20))
+        for samples in (0, -3):
+            with pytest.raises(DomainError):
+                min_restricted_singular(d, 2, mode="mc", samples=samples)
+            with pytest.raises(DomainError):
+                max_restricted_singular(d, 2, mode="mc", samples=samples)
+
     def test_sample_blocks_equal_one_shot_draw(self, monkeypatch):
         p, s, count = 13, 4, 7
         u = np.random.default_rng(5).random((count, p))

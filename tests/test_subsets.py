@@ -6,7 +6,8 @@ import pytest
 from ewselect import (Dataset, DomainError, NonFiniteError, PosteriorConfig,
                       empty_state, least_squares_min_norm, make_state,
                       rescale_columns, residual_ss, update_add, update_remove)
-from ewselect.subsets import peek_rss_add, peek_rss_remove
+from ewselect.enumeration import batched_rss
+from ewselect.subsets import EPS_RANK, peek_rss_add, peek_rss_remove
 
 from conftest import normalized_gaussian
 
@@ -101,6 +102,27 @@ class TestLeastSquaresMinNorm:
             least_squares_min_norm(small_data, (0, 0))
         with pytest.raises(DomainError):
             least_squares_min_norm(small_data, (99,))
+
+    def test_near_collinear_pair_follows_the_shared_rank_rule(self):
+        # squared singular value ~2e-11, under EPS_RANK * n = 5e-9: every
+        # least-squares path drops that direction and gives the same fit
+        rng = np.random.default_rng(0)
+        n = 50
+        X = rng.standard_normal((n, 2))
+        X[:, 1] = X[:, 0] + 1e-6 * rng.standard_normal(n)
+        d = Dataset(X, X[:, 0] + rng.standard_normal(n))
+        assert np.linalg.svd(X, compute_uv=False)[-1] ** 2 < EPS_RANK * n
+        beta = least_squares_min_norm(d, (0, 1))
+        _, _, rows = batched_rss(d.gram, d.xty, d.yty, np.array([[0, 1]]),
+                                 EPS_RANK * n)
+        np.testing.assert_allclose(beta, rows[0], rtol=1e-8)
+        r = d.y - X @ beta
+        assert float(r @ r) == pytest.approx(residual_ss(d, (0, 1)), rel=1e-10)
+        st = make_state(d, (0, 1), CFG)
+        assert not st.full_rank
+        idx, val = st.beta_sparse(d)
+        np.testing.assert_array_equal(idx, [0, 1])
+        np.testing.assert_allclose(val, beta, rtol=1e-12)
 
 
 class TestResidualSS:
