@@ -210,13 +210,15 @@ def lasso_kkt_violation(data: Dataset, beta, lam: float) -> float:
 
 
 def _sign_solve(data: Dataset, support, signs):
-    """Validated (support indices, X_S, (X_S'X_S/n)^{-1} s) for the sign checks."""
+    """Validated (sorted support indices, X_S, (X_S'X_S/n)^{-1} s) for the
+    sign checks; signs[k] belongs to support[k] in the caller's order."""
     idx = np.asarray(_check_subset(support, data.p), dtype=np.intp)
     if len(idx) == 0:
         raise DomainError("support must be nonempty")
     signs = np.ones(len(idx)) if signs is None else np.asarray(signs, dtype=np.float64)
     if signs.shape != (len(idx),):
         raise DomainError("signs must match the support length")
+    signs = signs[np.argsort(np.asarray(support, dtype=np.intp))]
     XS = data.X[:, idx]
     return idx, XS, _solve_spd(XS.T @ XS / data.n, signs)
 

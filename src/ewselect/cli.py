@@ -11,6 +11,7 @@ import argparse
 import csv
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -37,35 +38,43 @@ def _g17(v: float) -> str:
 def read_dataset_csv(path, sigma=None, rescale=False):
     """Load columns y, x1..xp from a CSV file with a header row.
 
-    Returns (Dataset, scales); scales is None unless rescale is set, in
-    which case coefficients on the rescaled design divide by scales to
-    return to original units.
+    The header is parsed with the csv module; the numeric rows go through
+    numpy's C reader in one call (optional double quotes, blank lines
+    skipped, no comment character). Returns (Dataset, scales); scales is
+    None unless rescale is set, in which case coefficients on the rescaled
+    design divide by scales to return to original units.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+        line = fh.readline()
+        if not line:
+            raise DomainError(f"{path}: empty file")
+        header = [h.strip() for h in next(csv.reader([line]))]
+        if len(set(header)) != len(header):
+            raise DomainError(f"{path}: repeated column names in header")
+        if "y" not in header:
+            raise DomainError(f"{path}: missing 'y' column")
+        x_names = [h for h in header if h != "y"]
+        expected = [f"x{i}" for i in range(1, len(x_names) + 1)]
+        if sorted(x_names) != sorted(expected):
+            raise DomainError(
+                f"{path}: predictor columns must be x1..x{len(x_names)}, got {x_names}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DomainError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
-    header = [h.strip() for h in header]
-    if "y" not in header:
-        raise DomainError(f"{path}: missing 'y' column")
-    x_names = [h for h in header if h != "y"]
-    expected = [f"x{i}" for i in range(1, len(x_names) + 1)]
-    if sorted(x_names) != sorted(expected):
-        raise DomainError(
-            f"{path}: predictor columns must be x1..x{len(x_names)}, got {x_names}")
-    try:
-        table = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise DomainError(f"{path}: non-numeric cell ({exc})") from None
-    if table.size == 0:
+            with warnings.catch_warnings():
+                warnings.filterwarnings(
+                    "ignore", "loadtxt: input contained no data", UserWarning)
+                table = np.loadtxt(fh, delimiter=",", quotechar='"',
+                                   comments=None, dtype=np.float64, ndmin=2)
+        except ValueError as exc:
+            if "number of columns changed" in str(exc):
+                raise DomainError(f"{path}: ragged rows ({exc})") from None
+            raise DomainError(f"{path}: non-numeric cell ({exc})") from None
+    if table.shape[0] == 0:
         raise DomainError(f"{path}: no data rows")
     if table.shape[1] != len(header):
         raise DomainError(f"{path}: ragged rows")
-    y = table[:, header.index("y")]
-    X = table[:, [header.index(name) for name in expected]]
+    column = {name: i for i, name in enumerate(header)}
+    y = table[:, column["y"]]
+    X = table[:, [column[name] for name in expected]]
     scales = None
     if rescale:
         X, scales = rescale_columns(X)

@@ -23,7 +23,9 @@ from .priors import PosteriorConfig, log_prior_table
 EPS_RANK = 1e-10
 
 # Refactorize from scratch once the accumulated update error could exceed
-# this fraction of the current residual sum of squares.
+# this fraction of the current residual sum of squares.  Not applied when
+# y'y = 0: every qty entry and every RSS is then exactly 0, and the bound
+# would be 0 too.
 DRIFT_LIMIT = 1e-6
 
 _EPS = float(np.finfo(np.float64).eps)
@@ -192,7 +194,7 @@ def _extend_state(state: SubsetState, j: int, data: Dataset) -> SubsetState:
 def update_add(state: SubsetState, j: int, data: Dataset) -> SubsetState:
     """State for support + {j}; equals the from-scratch state to ~1e-8."""
     new = _extend_state(state, j, data)
-    if new.chol is not None and \
+    if new.chol is not None and data.yty > 0 and \
             new.drift > DRIFT_LIMIT * (new.rss + _EPS * data.yty):
         return make_state(data, new.support, state.cfg)
     return new
@@ -252,7 +254,7 @@ def update_remove(state: SubsetState, j: int, data: Dataset) -> SubsetState:
     order = np.delete(state.order, k)
 
     drift = state.drift + _EPS * (state.rss + tau * tau)
-    if drift > DRIFT_LIMIT * (rss + _EPS * data.yty):
+    if data.yty > 0 and drift > DRIFT_LIMIT * (rss + _EPS * data.yty):
         return make_state(data, support, state.cfg)
     return SubsetState(support, order, chol, qty, rss,
                        _log_weight(state.cfg, data.p, state.size - 1, rss),

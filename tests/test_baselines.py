@@ -198,6 +198,24 @@ class TestIrrepresentability:
         assert margin == pytest.approx(1.0 - float(np.max(np.abs(corr))),
                                        abs=1e-10)
 
+    def test_signs_follow_the_callers_support_order(self, rng):
+        X = rng.standard_normal((30, 6))
+        X[:, 4] += X[:, 0]
+        d = Dataset(X, rng.standard_normal(30))
+        sup, signs = (4, 0, 2), np.array([1.0, 1.0, -1.0])
+        XS = X[:, list(sup)]
+        w = np.linalg.solve(XS.T @ XS / 30, signs)
+        expect = float(np.max(np.abs(w)))
+        assert inverse_gram_sign_norm(d, sup, signs) == pytest.approx(
+            expect, rel=1e-10)
+        assert inverse_gram_sign_norm(d, (0, 2, 4), [1.0, -1.0, 1.0]) == \
+            pytest.approx(expect, rel=1e-10)
+        outside = [1, 3, 5]
+        corr = X[:, outside].T @ (XS @ w) / 30
+        _, margin = irrepresentable_check(d, sup, signs)
+        assert margin == pytest.approx(1.0 - float(np.max(np.abs(corr))),
+                                       rel=1e-10)
+
     def test_singular_gram_raises(self, rng):
         X = rng.standard_normal((15, 4))
         X[:, 1] = X[:, 0]

@@ -1,11 +1,13 @@
 import csv
 import io
+import re
+import warnings
 
 import numpy as np
 import pytest
 
 from ewselect.cli import main, read_dataset_csv
-from ewselect.errors import DomainError
+from ewselect.errors import DomainError, NonFiniteError
 
 from conftest import normalized_gaussian
 
@@ -40,6 +42,30 @@ class TestReadDataset:
         np.testing.assert_allclose(data.X, X, rtol=1e-15)
         np.testing.assert_allclose(data.y, y, rtol=1e-15)
 
+    def test_round_trip_is_exact(self, planted_csv):
+        path, _, _, _, _ = planted_csv
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        cells = np.array([[float(v) for v in row] for row in rows])
+        data, _ = read_dataset_csv(path)
+        assert np.array_equal(data.y, cells[:, 0])
+        assert np.array_equal(data.X, cells[:, 1:])
+
+    def test_columns_in_any_order(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x2, y ,x1\n1,2,3\n4,5,6\n")
+        data, _ = read_dataset_csv(path)
+        assert data.y.tolist() == [2.0, 5.0]
+        assert data.X.tolist() == [[3.0, 1.0], [6.0, 4.0]]
+
+    def test_quotes_blank_lines_and_crlf(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'y,"x1",x2\r\n"1.5",2,-3e-2\r\n\r\n'
+                         b'4,"5", 6 \r\n\r\n')
+        data, _ = read_dataset_csv(path)
+        assert data.y.tolist() == [1.5, 4.0]
+        assert data.X.tolist() == [[2.0, -0.03], [5.0, 6.0]]
+
     def test_missing_y(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,x2\n1,2\n")
@@ -66,6 +92,36 @@ class TestReadDataset:
         data, scales = read_dataset_csv(path, rescale=True)
         assert data.max_normalization_error() <= 1e-12
         np.testing.assert_allclose(data.X * scales, X, rtol=1e-12)
+
+
+BAD_FILES = [
+    ("", DomainError, "empty file"),
+    ("y,x1,x2\n", DomainError, "no data rows"),
+    ("y,x1,x2\n\n\n", DomainError, "no data rows"),
+    ("y,x1,y\n1,2,3\n", DomainError, "repeated column names"),
+    ("y,y,x1\n1,2,3\n", DomainError, "repeated column names"),
+    ("y,x1,x2,x1\n1,2,3,4\n", DomainError, "repeated column names"),
+    ("y,x1\n1,\n", DomainError, "non-numeric cell"),
+    ("y,x1\n1,2\n#3,4\n", DomainError, "non-numeric cell"),
+    ("y,x1,x2\n1,2,3\n4,5\n", DomainError, "ragged rows"),
+    ("y,x1,x2\n1,2,3\n4,5,6,7\n", DomainError, "ragged rows"),
+    ("y,x1,x2\n1,2\n4,5\n", DomainError, "ragged rows"),
+    ("y,x1,x2\n1,2,3,4\n", DomainError, "ragged rows"),
+    ("y,x1\n1,nan\n2,3\n", NonFiniteError, "NaN or infinite"),
+    ("y,x1\n1,2\ninf,3\n", NonFiniteError, "NaN or infinite"),
+]
+
+
+@pytest.mark.parametrize("text,exc,message", BAD_FILES)
+def test_bad_file_rejected(tmp_path, capsys, text, exc, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(exc, match=re.escape(message)):
+            read_dataset_csv(path)
+        assert main(["fit", str(path), "--sigma", "1"]) == 2
+    assert message in capsys.readouterr().err
 
 
 class TestFitCommand:

@@ -266,6 +266,28 @@ class TestIncrementalUpdates:
         expect = log_prior(2, 6, CFG) - st.rss / (2.0 * CFG.sigma2)
         assert st.log_weight == pytest.approx(expect, rel=1e-12)
 
+    def test_zero_response_never_refactorizes(self, rng, monkeypatch):
+        # with y = 0 every qty entry and every RSS is exactly 0, so the drift
+        # bound DRIFT_LIMIT * (rss + eps * y'y) must not force a rebuild
+        import ewselect.subsets as subsets
+        calls = []
+        real = subsets.make_state
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subsets, "make_state", counting)
+        d = Dataset(rng.standard_normal((8, 5)), np.zeros(8))
+        st = empty_state(d, CFG)
+        for j in range(4):
+            st = update_add(st, j, d)
+        for j in (1, 3):
+            st = update_remove(st, j, d)
+        assert calls == []
+        assert st.support == (0, 2)
+        assert st.rss == 0.0
+
     def test_update_preconditions(self, small_data):
         st = make_state(small_data, (0, 1), CFG)
         with pytest.raises(DomainError):
