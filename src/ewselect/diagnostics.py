@@ -5,11 +5,23 @@ The central quantity is the smallest singular value of X_J / sqrt(n) over
 column subsets J of a given size; its minimum over subsets certifies
 identifiability and sets the coefficient magnitude needed for reliable
 support recovery.
+
+The exact scans (_scan_min_eig) need lambda_min(G_J) only for the subsets
+that can move the extreme.  Starting from t, the extreme over a fixed
+sample of subsets, a prefix-sharing Cholesky factorization of G_J - t'I
+(t' = t + delta for the minimum, t - delta for the maximum) sorts every
+subset in O(1) amortized work: it succeeds only if lambda_min(G_J) >= t and
+fails only if lambda_min(G_J) <= t, up to the rounding margin delta
+(_rounding_margin).  The subsets it cannot rule out are eigensolved with
+the same Gram blocks and the same batched eigvalsh as an unpruned scan, and
+every subset it skips would have left that scan's extreme where it is, so
+the result equals the unpruned scan bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +32,8 @@ from .enumeration import (SCAN_CHUNK, check_cap, gather_gram,
 from .errors import DomainError, TooLargeError
 from .subsets import EPS_RANK
 
-_DIRECT_LIMIT = 100_000   # below this many subsets, skip the pruned pass
 _PRUNE_SAMPLE = 4096
+_SCREEN_ELEMS = 1 << 20   # entries of one batch's child tensors in the screen
 _SAMPLE_BLOCK_BYTES = 1 << 23   # uniform draws held at once by _sample_subsets
 
 
@@ -46,50 +58,135 @@ def _gram_chunks(G: np.ndarray, subs: np.ndarray):
         yield gather_gram(G, subs[lo : lo + SCAN_CHUNK])
 
 
-def _extreme_min_eig(G: np.ndarray, subs: np.ndarray, want: str,
-                     start: float | None = None) -> float:
-    """min or max (`want`) of lambda_min(G_J) over the rows J of `subs`.
-
-    Given `start`, a value attained by some subset, subsets that provably
-    cannot beat it are not eigensolved: for the minimum those whose
-    Gershgorin lower bound is >= start, for the maximum those whose
-    smallest diagonal entry (an upper bound on lambda_min) is <= start.
-    Skipped subsets cannot change the extreme, so the result equals the
-    unpruned scan.
-    """
+def _extreme_min_eig(G: np.ndarray, subs: np.ndarray, want: str) -> float:
+    """min or max (`want`) of lambda_min(G_J) over the rows J of `subs`."""
     pick, reduce = (min, np.min) if want == "min" else (max, np.max)
-    best = start
-    if best is None:
-        best = math.inf if want == "min" else -math.inf
+    best = math.inf if want == "min" else -math.inf
     for GJ in _gram_chunks(G, subs):
-        if start is not None:
-            diag = np.diagonal(GJ, axis1=1, axis2=2)
-            if want == "min":
-                keep = (2.0 * diag - np.abs(GJ).sum(axis=2)).min(axis=1) < best
-            else:
-                keep = diag.min(axis=1) > best
-            if not np.any(keep):
-                continue
-            GJ = GJ[keep]
         best = pick(best, float(reduce(np.linalg.eigvalsh(GJ)[:, 0])))
     return best
+
+
+def _shifted_cholesky_screen(G: np.ndarray, s: int, shift: float, want: str):
+    """Yield arrays of the size-s subsets J that a Cholesky factorization
+    of G_J - shift*I cannot rule out: for the minimum those whose
+    factorization fails, for the maximum those whose factorization succeeds.
+
+    Prefixes share their factorization.  A node is a prefix P (sorted, with
+    largest column m) whose factorization succeeded; it carries
+    W = L^-1 G[P, m+1:] and the shifted Schur diagonal
+    r = diag(G)[m+1:] - shift - colsum(W^2), so r[c] is the last pivot of
+    P + (m+1+c) and a child adds one row to W.  Nodes of one size and one
+    largest column form a batch, and each level is a few array operations
+    per batch.  A failed prefix marks all its completions for the minimum
+    and prunes them for the maximum: by interlacing, adding columns cannot
+    raise lambda_min.
+    """
+    p = len(G)
+    level = {-1: (np.empty((1, 0), np.intp), np.empty((1, 0, p)),
+                  (np.diag(G) - shift)[None, :])}
+    for k in range(s - 1):
+        nxt = defaultdict(list)
+        for m, (P, W, r) in level.items():
+            qc = p - m - s + k   # children m+1+c, c < qc, leave room
+            rows = max(_SCREEN_ELEMS // (qc * (p - 1 - m)), 1)
+            for lo in range(0, len(P), rows):
+                yield from _screen_batch(G, s, want, m, qc, P[lo:lo + rows],
+                                         W[lo:lo + rows], r[lo:lo + rows], nxt)
+        level = {j: tuple(np.concatenate(a) for a in zip(*parts))
+                 for j, parts in nxt.items()}
+
+
+def _screen_batch(G, s, want, m, qc, P, W, r, nxt):
+    """One batch of prefixes with largest column m: yield the subsets it
+    cannot rule out and queue its successful children in `nxt`."""
+    p, k = len(G), P.shape[1]
+    piv = r[:, :qc]
+    ok = piv > 0          # False for a NaN from an overflowed prefix too
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = (G[m + 1 : m + 1 + qc, m + 1 :]
+             - np.matmul(W[:, :, :qc].transpose(0, 2, 1), W))
+        w /= np.sqrt(np.where(ok, piv, 1.0))[:, :, None]
+        rc = r[:, None, :] - w * w   # rc[b, c]: r of child P[b] + (m+1+c)
+    if k == s - 2:
+        # leaf P[b] + (m+1+c, m+1+l), l > c, has last pivot rc[b, c, l]
+        later = np.triu(np.ones((qc, p - 1 - m), dtype=bool), 1)
+        if want == "min":
+            hit = ~ok[:, :, None] | ~(rc > 0)
+        else:
+            hit = ok[:, :, None] & (rc > 0)
+        b, c, l = np.nonzero(hit & later)
+        yield np.column_stack([P[b], m + 1 + c, m + 1 + l])
+        return
+    if want == "min":
+        for b, c in zip(*np.nonzero(~ok)):
+            j = m + 1 + c
+            tails = subset_index_array(p - 1 - j, s - k - 1) + (j + 1)
+            yield np.column_stack([np.broadcast_to(P[b], (len(tails), k)),
+                                   np.full(len(tails), j), tails])
+    for c in np.flatnonzero(ok.any(axis=0)):
+        sel = ok[:, c]
+        nxt[m + 1 + c].append((
+            np.column_stack([P[sel], np.full(sel.sum(), m + 1 + c)]),
+            np.concatenate([W[sel, :, c + 1 :], w[sel, None, c, c + 1 :]],
+                           axis=1),
+            rc[sel, c, c + 1 :]))
 
 
 def _scan_min_eig(G: np.ndarray, s: int, want: str) -> float:
     """min or max (`want`) of lambda_min(G_J) over all size-s subsets, exactly.
 
-    Large scans start from the extreme of a fixed sample of subsets and
-    prune against it (see _extreme_min_eig).
+    t, the extreme over a fixed sample of _PRUNE_SAMPLE subsets, is a value
+    some subset attains.  For the minimum, a subset whose factorization of
+    G_J - (t + delta)I succeeds has a computed lambda_min >= t and cannot
+    lower it; for the maximum, one whose factorization of G_J - (t - delta)I
+    fails has a computed lambda_min <= t and cannot raise it.  Only the
+    rest are eigensolved, SCAN_CHUNK at a time.
     """
     if s == 1:
         diag = np.diag(G)
         return float(diag.min() if want == "min" else diag.max())
     p = G.shape[0]
-    subs = subset_index_array(p, s)
-    if len(subs) <= _DIRECT_LIMIT:
-        return _extreme_min_eig(G, subs, want)
+    pick = min if want == "min" else max
     sample = _sample_subsets(p, s, _PRUNE_SAMPLE, np.random.default_rng(0))
-    return _extreme_min_eig(G, subs, want, _extreme_min_eig(G, sample, want))
+    best = _extreme_min_eig(G, sample, want)
+    delta = _rounding_margin(G, s)
+    shift = best + delta if want == "min" else best - delta
+    buf, size = [], 0
+    for rows in _shifted_cholesky_screen(G, s, shift, want):
+        buf.append(rows)
+        size += len(rows)
+        if size >= SCAN_CHUNK:
+            best = pick(best, _extreme_min_eig(G, np.concatenate(buf), want))
+            buf, size = [], 0
+    if size:
+        best = pick(best, _extreme_min_eig(G, np.concatenate(buf), want))
+    return best
+
+
+def _rounding_margin(G: np.ndarray, s: int) -> float:
+    """delta = 16 s^2 eps g, with g = max diag(G), for s x s blocks of the
+    positive semidefinite G and shifts |t'| <= 2g.
+
+    Cholesky of A = G_J - t'I in floating point (unit roundoff
+    u = eps/2, any summation order, as the screen's shared prefixes use):
+    - success gives L L' = A + E with |E| <= gamma_{s+1} |L||L'|
+      (Higham, Accuracy and Stability of Numerical Algorithms, Thm 10.3),
+      so ||E||_2 <= gamma_{s+1} trace(L L') ~ (s+1) u s 2g and
+      lambda_min(G_J) >= t' - s(s+1) eps g;
+    - failure (a pivot <= 0, or a NaN after overflow) means
+      lambda_min(H) <= s gamma_{s+1} / (1 - s gamma_{s+1}) for the
+      unit-diagonal scaling H of A (Thm 10.7), so
+      lambda_min(G_J) <= t' + s(s+1) eps g.
+    Rounding t' and diag(A) adds about 2 eps g.  eigvalsh is backward
+    stable: its lambda_min is within c u ||G_J||_2 <= c s eps g / 2 of the
+    true one, with c a small constant (LAPACK quotes c ~ 1).  The terms sum
+    to (s^2 + s + 2 + c s / 2) eps g <= 16 s^2 eps g for any s >= 1 and
+    c <= 20, so the computed lambda_min of a skipped subset lies on the
+    far side of t.  The margin only adds the subsets within delta of t
+    (about 1e-13 g at s = 5) to the ones eigensolved.
+    """
+    return 16.0 * s * s * np.finfo(np.float64).eps * float(np.max(np.diag(G)))
 
 
 def _normalized_gram(data: Dataset) -> np.ndarray:
@@ -178,11 +275,17 @@ def min_fullrank_singular_estimate(data: Dataset, samples: int = 10_000,
 
 
 def is_identifiable(data: Dataset, s_star: int, cap: int | None = None) -> bool:
-    """True when every subset of 2*s_star columns has full column rank."""
+    """True when every subset of 2*s_star columns has full column rank.
+
+    Full rank follows the package's rank rule, lambda_min(X_J'X_J/n) >
+    EPS_RANK, i.e. a smallest singular value of X_J/sqrt(n) above
+    sqrt(EPS_RANK).
+    """
     if s_star < 1:
         raise DomainError("s_star must be >= 1")
     probe = min(2 * s_star, data.p)
-    return min_restricted_singular(data, probe, mode="exact", cap=cap) > EPS_RANK
+    nu = min_restricted_singular(data, probe, mode="exact", cap=cap)
+    return nu > math.sqrt(EPS_RANK)
 
 
 def signal_strength_threshold(sigma: float, lam: float, n: int, nu: float) -> float:

@@ -8,8 +8,8 @@ batched so exhaustive enumeration stays usable up to the shared cap.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from itertools import combinations
+from collections import OrderedDict, namedtuple
+from functools import wraps
 
 import numpy as np
 
@@ -39,21 +39,70 @@ def check_cap(count: int, cap: int | None = None) -> None:
         )
 
 
-@lru_cache(maxsize=16)
+# Total bytes of index arrays subset_index_array keeps between calls.
+_INDEX_CACHE_BYTES = 1 << 28
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxbytes currbytes")
+
+
+def _lru_by_bytes(max_bytes: int):
+    """Like functools.lru_cache, but bounded by the total nbytes of the
+    cached arrays; a result larger than max_bytes is returned uncached."""
+    def decorate(build):
+        cache: OrderedDict = OrderedDict()
+        stats = [0, 0]   # hits, misses
+
+        @wraps(build)
+        def cached(*key):
+            if key in cache:
+                stats[0] += 1
+                cache.move_to_end(key)
+                return cache[key]
+            stats[1] += 1
+            out = build(*key)
+            if out.nbytes <= max_bytes:
+                cache[key] = out
+                while sum(a.nbytes for a in cache.values()) > max_bytes:
+                    cache.popitem(last=False)
+            return out
+
+        def cache_clear():
+            cache.clear()
+            stats[:] = [0, 0]
+
+        cached.cache_clear = cache_clear
+        cached.cache_info = lambda: _CacheInfo(
+            *stats, max_bytes, sum(a.nbytes for a in cache.values()))
+        return cached
+    return decorate
+
+
+@_lru_by_bytes(_INDEX_CACHE_BYTES)
 def subset_index_array(p: int, s: int) -> np.ndarray:
-    """All size-s subsets of range(p) as a (C(p,s), s) array, lex order."""
-    m = math.comb(p, s)
-    check_cap(m, _HARD_CAP)
-    if s == 0:
-        out = np.empty((1, 0), dtype=np.intp)
-    else:
-        flat = np.fromiter(
-            (v for comb in combinations(range(p), s) for v in comb),
-            dtype=np.intp, count=m * s,
-        )
-        out = flat.reshape(m, s)
-    out.setflags(write=False)
-    return out
+    """All size-s subsets of range(p) as a (C(p,s), s) array, lex order.
+
+    Built from the right: the last k columns of a row are a size-k subset
+    whose first element is at least s - k, and those tails, in lex order,
+    are `tail`.  Rows of the next tail that start with `a` are `a` followed
+    by the tails whose first element exceeds `a`, which are a suffix of
+    `tail`, so each column costs one repeat and one gather.
+    """
+    check_cap(math.comb(p, s), _HARD_CAP)
+    tail = np.empty((1, 0), dtype=np.intp)
+    for k in range(1, s + 1):
+        first = np.arange(s - k, p - k + 1)
+        lens = np.array([math.comb(p - 1 - a, k - 1) for a in first],
+                        dtype=np.intp)
+        ends = np.cumsum(lens)
+        # the block for `a` ends at row ends[a] and takes the last lens[a]
+        # rows of `tail`, so row i takes tail row i + len(tail) - ends[a]
+        rows = np.arange(lens.sum()) + np.repeat(len(tail) - ends, lens)
+        nxt = np.empty((len(rows), k), dtype=np.intp)
+        nxt[:, 0] = np.repeat(first, lens)
+        nxt[:, 1:] = tail[rows]
+        tail = nxt
+    tail.setflags(write=False)
+    return tail
 
 
 def subset_rank(subset, p: int) -> int:

@@ -23,6 +23,29 @@ def svd_oracle(X, s):
     return min(vals), max(vals)
 
 
+def eigvalsh_scan(G, s):
+    """min and max of lambda_min(G_J) over all size-s subsets, by one
+    unpruned batched eigvalsh over every Gram block."""
+    subs = np.array(list(combinations(range(len(G)), s)),
+                    dtype=np.intp).reshape(-1, s)
+    lam = np.linalg.eigvalsh(G[subs[:, :, None], subs[:, None, :]])[:, 0]
+    return float(lam.min()), float(lam.max())
+
+
+def screened_scan(X, s):
+    G = Dataset(X, np.zeros(len(X))).gram / len(X)
+    return (diag._scan_min_eig(G, s, "min"), diag._scan_min_eig(G, s, "max"),
+            eigvalsh_scan(G, s))
+
+
+INTEGER_X = np.array([[2, 0, 1, 1],
+                      [0, 3, 1, 0],
+                      [1, 1, 1, 2],
+                      [0, 1, 2, 1],
+                      [1, 0, 0, 3],
+                      [2, 2, 1, 0]], dtype=float)
+
+
 class TestRestrictedSingularValues:
     def test_orthonormal_columns_give_one(self, rng):
         n = 16
@@ -38,12 +61,7 @@ class TestRestrictedSingularValues:
         assert min_restricted_singular(d, 2) <= 1e-12
 
     def test_integer_matrix_matches_eigensolver(self):
-        X = np.array([[2, 0, 1, 1],
-                      [0, 3, 1, 0],
-                      [1, 1, 1, 2],
-                      [0, 1, 2, 1],
-                      [1, 0, 0, 3],
-                      [2, 2, 1, 0]], dtype=float)
+        X = INTEGER_X
         d = Dataset(X, np.zeros(6))
         lo, hi = svd_oracle(X, 2)
         assert min_restricted_singular(d, 2) == pytest.approx(lo, abs=1e-10)
@@ -76,13 +94,68 @@ class TestRestrictedSingularValues:
             mc = min_restricted_singular(d, 3, mode="mc", samples=40, seed=seed)
             assert mc >= exact - 1e-12
 
-    def test_pruned_scan_equals_direct(self, rng, monkeypatch):
+    def test_pruned_scan_equals_direct(self, rng):
         X = normalized_gaussian(rng, 80, 22)
         d = Dataset(X, rng.standard_normal(80))
-        direct = (min_restricted_singular(d, 3), max_restricted_singular(d, 3))
-        monkeypatch.setattr(diag, "_DIRECT_LIMIT", 10)
-        pruned = (min_restricted_singular(d, 3), max_restricted_singular(d, 3))
-        assert direct == pruned
+        lo, hi = eigvalsh_scan(d.gram / d.n, 3)
+        assert min_restricted_singular(d, 3) == math.sqrt(lo)
+        assert max_restricted_singular(d, 3) == math.sqrt(hi)
+
+    @pytest.mark.parametrize("case", ["duplicates", "equicorrelated",
+                                      "integer", "unit_norm", "gaussian",
+                                      "n_below_s"])
+    def test_screen_equals_unpruned_scan(self, rng, case):
+        # both extremes of lambda_min, not their square roots, so that the
+        # signs of rounding-level values of singular blocks are compared too
+        if case == "duplicates":
+            X = rng.standard_normal((30, 12))
+            X[:, 7] = X[:, 2]
+            X[:, 10] = -X[:, 4]
+        elif case == "equicorrelated":
+            # every block of X'X/n has lambda_min 0.5 up to rounding, and at
+            # C(24, 6) subsets the fixed sample misses the smallest computed one
+            S = np.full((24, 24), 0.5)
+            np.fill_diagonal(S, 1.0)
+            X = np.linalg.cholesky(S).T * math.sqrt(24)
+        elif case == "integer":
+            X = INTEGER_X
+        elif case == "unit_norm":
+            X = normalized_gaussian(rng, 50, 16)
+        elif case == "gaussian":
+            X = rng.standard_normal((40, 9))
+        else:
+            X = rng.standard_normal((3, 9))   # every subset of 4+ is singular
+        p = X.shape[1]
+        for s in (2, 6) if case == "equicorrelated" else range(2, p + 1):
+            lo, hi, ref = screened_scan(X, s)
+            assert (lo, hi) == ref, (case, s)
+
+    def test_failed_prefix_marks_all_completions(self, rng):
+        X = rng.standard_normal((30, 12))
+        X[:, 7] = X[:, 2]
+        G = X.T @ X / 30
+        s = 5
+        shift = diag._scan_min_eig(G, s, "min") + diag._rounding_margin(G, s)
+        marked = {tuple(int(v) for v in row)
+                  for rows in diag._shifted_cholesky_screen(G, s, shift, "min")
+                  for row in rows}
+        supersets = {c for c in combinations(range(12), s) if {2, 7} <= set(c)}
+        assert supersets <= marked
+        assert len(marked) == len(supersets)   # nothing else is near lo ~ 0
+
+    def test_screen_eigensolves_few_subsets(self, rng):
+        X = rng.standard_normal((60, 20))
+        G = X.T @ X / 60
+        s = 4
+        for want in ("min", "max"):
+            t = diag._scan_min_eig(G, s, want)
+            delta = diag._rounding_margin(G, s)
+            shift = t + delta if want == "min" else t - delta
+            marked = sum(len(rows) for rows in
+                         diag._shifted_cholesky_screen(G, s, shift, want))
+            # t is attained, so at least one subset is marked; ties aside,
+            # only that one is
+            assert 1 <= marked <= 3, want
 
     def test_cap_and_override(self, rng):
         X = rng.standard_normal((30, 60))
@@ -158,6 +231,25 @@ class TestIdentifiability:
         X = rng.standard_normal((15, 6))
         X[:, 5] = -X[:, 0]
         d = Dataset(X, rng.standard_normal(15))
+        assert not is_identifiable(d, 1)
+
+    def test_rank_rule_matches_package(self):
+        # column 3 is an exact combination of columns 1 and 4: every
+        # 4-subset containing {1, 3, 4} is singular, and its computed
+        # smallest singular value (1.8e-8 here) is rounding noise above
+        # EPS_RANK but below sqrt(EPS_RANK)
+        rng = np.random.default_rng(187)
+        X = rng.standard_normal((30, 6))
+        X[:, 3] = 3.0 * X[:, 1] - 0.7 * X[:, 4]
+        d = Dataset(X, rng.standard_normal(30))
+        assert 0.0 < min_restricted_singular(d, 4) < 1e-6
+        assert not is_identifiable(d, 2)
+        assert design_report(d, 2).identifiable_2s is False
+
+    def test_near_duplicate_pair_not_identifiable(self, rng):
+        X = rng.standard_normal((50, 4))
+        X[:, 1] = X[:, 0] + 1e-7 * rng.standard_normal(50)
+        d = Dataset(X, rng.standard_normal(50))
         assert not is_identifiable(d, 1)
 
     def test_random_gaussian_identifiable(self, rng):

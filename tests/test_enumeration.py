@@ -1,11 +1,14 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from ewselect import (Dataset, PosteriorConfig, enumerate_posterior,
                       exact_estimators, subset_min_singular)
-from ewselect.enumeration import batched_rss, gather_gram, subset_index_array
+import ewselect.enumeration as enumeration
+from ewselect.enumeration import (batched_rss, gather_gram, subset_index_array,
+                                  subset_rank)
 from ewselect.subsets import EPS_RANK, least_squares_min_norm, residual_ss
 
 
@@ -75,3 +78,48 @@ class TestEnumerationMeans:
         np.testing.assert_allclose(est.mean_beta, oracle, atol=1e-12)
         np.testing.assert_array_equal(
             est.map_beta, least_squares_min_norm(d, table.map_subset))
+
+
+class TestSubsetIndexArray:
+    @pytest.mark.parametrize("p,s", [(0, 0), (1, 0), (1, 1), (6, 0), (6, 1),
+                                     (6, 6), (7, 2), (9, 4), (12, 7), (13, 3),
+                                     (20, 5), (5, 6)])
+    def test_rows_equal_itertools(self, p, s):
+        subs = subset_index_array(p, s)
+        ref = list(combinations(range(p), s))
+        assert subs.shape == (len(ref), s)
+        assert subs.dtype == np.intp
+        assert not subs.flags.writeable
+        assert [tuple(int(v) for v in row) for row in subs] == ref
+        assert all(subset_rank(row, p) == i for i, row in enumerate(ref))
+
+    def test_cache_is_bounded_by_bytes(self):
+        built = []
+
+        @enumeration._lru_by_bytes(1000)
+        def build(n):
+            built.append(n)
+            return np.zeros(n, dtype=np.uint8)
+
+        build(600)
+        build(300)
+        build(600)                       # hit; 300 is now least recent
+        assert built == [600, 300]
+        build(200)                       # 1100 bytes: evicts the 300
+        assert build.cache_info().currbytes == 800
+        build(300)
+        assert built == [600, 300, 200, 300]
+        build(5000)                      # larger than the bound: not kept
+        build(5000)
+        assert built[-2:] == [5000, 5000]
+        info = build.cache_info()
+        assert (info.hits, info.misses, info.maxbytes) == (1, 6, 1000)
+        assert info.currbytes <= 1000
+        build.cache_clear()
+        assert build.cache_info() == (0, 0, 1000, 0)
+
+    def test_index_cache_clear(self):
+        subset_index_array(8, 3)
+        assert subset_index_array.cache_info().currbytes > 0
+        subset_index_array.cache_clear()
+        assert subset_index_array.cache_info().currbytes == 0
