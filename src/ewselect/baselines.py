@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .enumeration import (SCAN_CHUNK, batched_rss, check_cap, subset_count,
+from .enumeration import (_subset_fits, check_cap, subset_count,
                           subset_index_array)
 from .errors import DomainError, NotConvergedError, SingularError
 from .subsets import (EPS_RANK, _check_subset, least_squares_min_norm,
@@ -60,23 +60,16 @@ def default_lasso_penalty(sigma: float, n: int, p: int, a: float = 4.0) -> float
 def _exhaustive_l0(data: Dataset, cfg: L0Config):
     s_max = min(cfg.max_support, data.p)
     check_cap(subset_count(data.p, s_max))
-    eps_n = EPS_RANK * data.n
-    best_val = data.yty  # the empty model
+    best_val = math.inf
     best: tuple[int, ...] = ()
-    for s in range(1, s_max + 1):
-        subs = subset_index_array(data.p, s)
-        penalty = cfg.lam * s
-        for lo in range(0, len(subs), SCAN_CHUNK):
-            hi = min(lo + SCAN_CHUNK, len(subs))
-            rss, _, _ = batched_rss(data.gram, data.xty, data.yty,
-                                    subs[lo:hi], eps_n)
-            i = int(np.argmin(rss))
-            val = rss[i] + penalty
-            # size-ascending scan with strict < keeps the sparser, then
-            # lexicographically smaller, of any exact ties
-            if val < best_val:
-                best_val = float(val)
-                best = tuple(int(v) for v in subs[lo + i])
+    for s, (rss, _, _) in enumerate(_subset_fits(data, s_max)):
+        i = int(np.argmin(rss))
+        val = float(rss[i]) + cfg.lam * s
+        # size-ascending scan with strict < keeps the sparser, then
+        # lexicographically smaller, of any exact ties
+        if val < best_val:
+            best_val = val
+            best = tuple(int(v) for v in subset_index_array(data.p, s)[i])
     return best, best_val
 
 

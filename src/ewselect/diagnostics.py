@@ -8,10 +8,11 @@ support recovery.
 
 The exact scans (_scan_min_eig) need lambda_min(G_J) only for the subsets
 that can move the extreme.  Starting from t, the extreme over a fixed
-sample of subsets, a prefix-sharing Cholesky factorization of G_J - t'I
-(t' = t + delta for the minimum, t - delta for the maximum) sorts every
-subset in O(1) amortized work: it succeeds only if lambda_min(G_J) >= t and
-fails only if lambda_min(G_J) <= t, up to the rounding margin delta
+sample of subsets, the prefix-sharing Cholesky walk of
+enumeration._cholesky_walk factors G_J - t'I (t' = t + delta for the
+minimum, t - delta for the maximum) for every subset in O(1) amortized
+work: the factorization succeeds only if lambda_min(G_J) >= t and fails
+only if lambda_min(G_J) <= t, up to the rounding margin delta
 (_rounding_margin).  The subsets it cannot rule out are eigensolved with
 the same Gram blocks and the same batched eigvalsh as an unpruned scan, and
 every subset it skips would have left that scan's extreme where it is, so
@@ -21,19 +22,18 @@ the result equals the unpruned scan bit for bit.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .enumeration import (SCAN_CHUNK, check_cap, gather_gram,
-                          subset_index_array)
+from .enumeration import (_cholesky_walk, _completions, check_cap,
+                          gather_gram, subset_index_array)
 from .errors import DomainError, TooLargeError
 from .subsets import EPS_RANK
 
 _PRUNE_SAMPLE = 4096
-_SCREEN_ELEMS = 1 << 20   # entries of one batch's child tensors in the screen
+SCAN_CHUNK = 200_000   # subsets per batched eigvalsh (bounds peak memory)
 _SAMPLE_BLOCK_BYTES = 1 << 23   # uniform draws held at once by _sample_subsets
 
 
@@ -72,65 +72,29 @@ def _shifted_cholesky_screen(G: np.ndarray, s: int, shift: float, want: str):
     of G_J - shift*I cannot rule out: for the minimum those whose
     factorization fails, for the maximum those whose factorization succeeds.
 
-    Prefixes share their factorization.  A node is a prefix P (sorted, with
-    largest column m) whose factorization succeeded; it carries
-    W = L^-1 G[P, m+1:] and the shifted Schur diagonal
-    r = diag(G)[m+1:] - shift - colsum(W^2), so r[c] is the last pivot of
-    P + (m+1+c) and a child adds one row to W.  Nodes of one size and one
-    largest column form a batch, and each level is a few array operations
-    per batch.  A failed prefix marks all its completions for the minimum
-    and prunes them for the maximum: by interlacing, adding columns cannot
-    raise lambda_min.
+    The walk on G - shift*I (tol 0) yields leaf pivots; a failed prefix
+    marks all its completions for the minimum and prunes them for the
+    maximum (by interlacing, adding columns cannot raise lambda_min).
     """
     p = len(G)
-    level = {-1: (np.empty((1, 0), np.intp), np.empty((1, 0, p)),
-                  (np.diag(G) - shift)[None, :])}
-    for k in range(s - 1):
-        nxt = defaultdict(list)
-        for m, (P, W, r) in level.items():
-            qc = p - m - s + k   # children m+1+c, c < qc, leave room
-            rows = max(_SCREEN_ELEMS // (qc * (p - 1 - m)), 1)
-            for lo in range(0, len(P), rows):
-                yield from _screen_batch(G, s, want, m, qc, P[lo:lo + rows],
-                                         W[lo:lo + rows], r[lo:lo + rows], nxt)
-        level = {j: tuple(np.concatenate(a) for a in zip(*parts))
-                 for j, parts in nxt.items()}
-
-
-def _screen_batch(G, s, want, m, qc, P, W, r, nxt):
-    """One batch of prefixes with largest column m: yield the subsets it
-    cannot rule out and queue its successful children in `nxt`."""
-    p, k = len(G), P.shape[1]
-    piv = r[:, :qc]
-    ok = piv > 0          # False for a NaN from an overflowed prefix too
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = (G[m + 1 : m + 1 + qc, m + 1 :]
-             - np.matmul(W[:, :, :qc].transpose(0, 2, 1), W))
-        w /= np.sqrt(np.where(ok, piv, 1.0))[:, :, None]
-        rc = r[:, None, :] - w * w   # rc[b, c]: r of child P[b] + (m+1+c)
-    if k == s - 2:
-        # leaf P[b] + (m+1+c, m+1+l), l > c, has last pivot rc[b, c, l]
-        later = np.triu(np.ones((qc, p - 1 - m), dtype=bool), 1)
-        if want == "min":
-            hit = ~ok[:, :, None] | ~(rc > 0)
-        else:
-            hit = ok[:, :, None] & (rc > 0)
-        b, c, l = np.nonzero(hit & later)
-        yield np.column_stack([P[b], m + 1 + c, m + 1 + l])
-        return
-    if want == "min":
-        for b, c in zip(*np.nonzero(~ok)):
-            j = m + 1 + c
-            tails = subset_index_array(p - 1 - j, s - k - 1) + (j + 1)
-            yield np.column_stack([np.broadcast_to(P[b], (len(tails), k)),
-                                   np.full(len(tails), j), tails])
-    for c in np.flatnonzero(ok.any(axis=0)):
-        sel = ok[:, c]
-        nxt[m + 1 + c].append((
-            np.column_stack([P[sel], np.full(sel.sum(), m + 1 + c)]),
-            np.concatenate([W[sel, :, c + 1 :], w[sel, None, c, c + 1 :]],
-                           axis=1),
-            rc[sel, c, c + 1 :]))
+    A = G.copy()
+    A[np.diag_indices(p)] -= shift
+    for P, m, _, ok, _, rc, _ in _cholesky_walk(A, p, s - 1, 0.0,
+                                                leaves=True):
+        k = P.shape[1]
+        if k == s - 2:
+            # leaf P[b] + (m+1+c, m+1+l), l > c, has last pivot rc[b, c, l]
+            later = np.triu(np.ones(rc.shape[1:], dtype=bool), 1)
+            if want == "min":
+                hit = ~ok[:, :, None] | ~(rc > 0)
+            else:
+                hit = ok[:, :, None] & (rc > 0)
+            b, c, l = np.nonzero(hit & later)
+            hit = rc = None   # free them before the walk builds the next batch
+            yield np.column_stack([P[b], m + 1 + c, m + 1 + l])
+        elif want == "min":
+            for c in np.flatnonzero(~ok.all(axis=0)):
+                yield _completions(P[~ok[:, c]], m + 1 + c, p, s - k - 1)
 
 
 def _scan_min_eig(G: np.ndarray, s: int, want: str) -> float:
@@ -258,8 +222,10 @@ def min_fullrank_singular_estimate(data: Dataset, samples: int = 10_000,
     reach; this samples subsets across sizes and returns the smallest value
     above the rank cutoff, an upper bound on the true minimum.
     """
-    rng = np.random.default_rng(seed)
     cap = max_size if max_size is not None else min(data.n, data.p)
+    if cap < 1 or samples < 1:
+        raise DomainError("max_size and samples must be >= 1")
+    rng = np.random.default_rng(seed)
     best = math.inf
     G = _normalized_gram(data)
     per_size = max(samples // cap, 1)
@@ -304,6 +270,7 @@ def covariance_subset_bounds(Sigma, s: int) -> tuple[float, float]:
     Returns (eta, lam) with eta = max over |J| <= s of
     lambda_max(Sigma_J)/lambda_min(Sigma_J) and lam = min over the same of
     lambda_min(Sigma_J); eta is +inf when any submatrix is singular.
+    C(p, s) is held to the default enumeration cap.
     """
     Sigma = np.asarray(Sigma, dtype=np.float64)
     if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
@@ -313,6 +280,7 @@ def covariance_subset_bounds(Sigma, s: int) -> tuple[float, float]:
     p = Sigma.shape[0]
     if not (1 <= s <= p):
         raise DomainError(f"s must be in [1, {p}]")
+    check_cap(math.comb(p, s))
     # both extremes are attained at size exactly s (interlacing)
     eta = -math.inf
     lam = math.inf

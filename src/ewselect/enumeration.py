@@ -1,19 +1,22 @@
-"""Vectorized scans over all column subsets of a given size.
+"""Exhaustive scans over column subsets.
 
-Subsets of size s are materialized once per (p, s) as an index array in
-lexicographic order and cached; per-subset Gram eigendecompositions are
-batched so exhaustive enumeration stays usable up to the shared cap.
+Subsets of size s are materialized once per (p, s) as a lexicographic index
+array and cached.  Every exact scan runs on one prefix-sharing Cholesky walk
+(_cholesky_walk); carrying y as one more Gram column makes each node's last
+Schur entry its residual sum of squares (the leaps idea of Furnival &
+Wilson, Technometrics 1974), which fits every subset up to the cap.
 """
 
 from __future__ import annotations
 
 import math
-from collections import OrderedDict, namedtuple
+from collections import OrderedDict, defaultdict, namedtuple
 from functools import wraps
 
 import numpy as np
 
 from .errors import DomainError, TooLargeError
+from .subsets import EPS_RANK, _svd_fit
 
 # Largest number of subsets any exhaustive scan is allowed to touch by
 # default; most entry points accept a per-call override.
@@ -22,8 +25,8 @@ ENUMERATION_CAP = 2_000_000
 # Absolute bound guarding subset_index_array against accidental huge builds.
 _HARD_CAP = 20_000_000
 
-# Chunk size for batched eigendecompositions (bounds peak memory).
-SCAN_CHUNK = 200_000
+# Entries of one batch's child tensors in the walk (bounds its memory).
+_SCREEN_ELEMS = 1 << 20
 
 
 def subset_count(p: int, s_max: int) -> int:
@@ -105,19 +108,27 @@ def subset_index_array(p: int, s: int) -> np.ndarray:
     return tail
 
 
-def subset_rank(subset, p: int) -> int:
-    """Lexicographic position of `subset` within subset_index_array(p, len)."""
-    sub = sorted(int(v) for v in subset)
-    s = len(sub)
-    if s and (sub[0] < 0 or sub[-1] >= p or len(set(sub)) != s):
-        raise DomainError(f"bad subset {subset} for p={p}")
-    rank = 0
-    prev = -1
-    for i, c in enumerate(sub):
-        for v in range(prev + 1, c):
-            rank += math.comb(p - 1 - v, s - 1 - i)
-        prev = c
-    return rank
+def subset_rank(subsets, p: int):
+    """Lexicographic position within subset_index_array(p, k): an int for
+    one subset, an array of them for an (m, k) stack of subsets.
+
+    The rank of J_0 < ... < J_{k-1} is C(p, k) - 1 - sum_i C(p-1-J_i, k-i),
+    the combinatorial number system read from the end.
+    """
+    J = np.sort(np.asarray(subsets, dtype=np.intp), axis=-1)
+    k = J.shape[-1]
+    if J.size and (J.min() < 0 or J.max() >= p
+                   or np.any(J[..., 1:] == J[..., :-1])):
+        raise DomainError(f"bad subset {subsets} for p={p}")
+    # binom[n, r] = C(n, r) by the hockey-stick identity; entries that wrap
+    # are never read (those read are at most C(p, k), and a C(p, k) beyond
+    # int64 raises OverflowError below)
+    binom = np.zeros((p, k + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for r in range(1, k + 1):
+        binom[1:, r] = np.cumsum(binom[:-1, r - 1])
+    rank = (math.comb(p, k) - 1) - binom[p - 1 - J, k - np.arange(k)].sum(-1)
+    return int(rank) if J.ndim == 1 else rank
 
 
 def gather_gram(G: np.ndarray, subs: np.ndarray) -> np.ndarray:
@@ -125,20 +136,124 @@ def gather_gram(G: np.ndarray, subs: np.ndarray) -> np.ndarray:
     return G[subs[:, :, None], subs[:, None, :]]
 
 
-def batched_rss(G, b, yty, subs, eps_n):
-    """Minimum-norm least-squares fit of each subset row from one eigh.
+def _completions(P: np.ndarray, j: int, p: int, t: int) -> np.ndarray:
+    """Rows P[i] + (j,) + T for each prefix row P[i] (all below j) and each
+    size-t subset T of range(j + 1, p), prefix-major."""
+    tails = subset_index_array(p - 1 - j, t) + (j + 1)
+    return np.column_stack([np.repeat(P, len(tails), axis=0),
+                            np.full(len(P) * len(tails), j),
+                            np.tile(tails, (len(P), 1))])
 
-    Returns (rss, min_eig, beta): the residual sum of squares, the smallest
-    Gram eigenvalue and the (m, s) coefficient rows.  Directions with
-    eigenvalue <= eps_n (the shared rank rule) are dropped, which matches
-    the pseudo-inverse fit exactly.
+
+def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
+                   leaves: bool = False):
+    """Prefix-sharing Cholesky factorizations of A[J, J] for every sorted
+    subset J of range(q) with at most `depth` columns; columns q.. of the
+    symmetric A are carried along, never branched on.
+
+    A node is a prefix P (largest column m) with A[P, P] = L L',
+    W = L^-1 A[P, m+1:] and Schur diagonal r = diag(A)[m+1:] - colsum(W^2).
+    Nodes of one size and largest column are expanded in batches of at most
+    _SCREEN_ELEMS child entries, yielded as (P, m, W, ok, w, rc, Lc): child
+    P[b] + (m+1+c) succeeds (ok) when its last pivot is > tol, not NaN; its
+    new row of W is w[b, c], its r is rc[b, c] (both over the last
+    w.shape[2] columns of A) and its factor is Lc[b, c].  Failed children
+    and children of size `depth` are not expanded; the latter's rows cover
+    only the carried columns.
+
+    With `leaves`, only the pivots of the size depth + 1 subsets are wanted:
+    no factors are kept (Lc is None), children that cannot reach that size
+    are skipped, and the last rows cover all later columns, so rc[b, c, l]
+    is the last pivot of the leaf P[b] + (m+1+c, m+1+l).
     """
-    m, s = subs.shape
-    if s == 0:
-        return np.full(m, yty), np.full(m, np.inf), np.empty((m, 0))
-    vals, vecs = np.linalg.eigh(gather_gram(G, subs))
-    proj = np.einsum("mij,mi->mj", vecs, b[subs])
-    inv = np.where(vals > eps_n, 1.0 / np.where(vals > eps_n, vals, 1.0), 0.0)
-    rss = yty - np.einsum("mj,mj->m", proj * proj, inv)
-    beta = np.einsum("mij,mj->mi", vecs, proj * inv)
-    return np.maximum(rss, 0.0), vals[:, 0], beta
+    d = len(A)
+    root = (np.empty((1, 0), np.intp), np.empty((1, 0, d)), np.diag(A)[None, :])
+    level = {-1: root if leaves else root + (np.empty((1, 0, 0)),)}
+    for k in range(depth):
+        last = k == depth - 1
+        kf = 0 if leaves else k + 1   # size of the children's factors
+        nxt = defaultdict(list)
+        for m, nodes in level.items():
+            qc = q - 1 - m - (depth - k if leaves else 0)
+            lo = q if last and not leaves else m + 1   # first column of w
+            step = max(_SCREEN_ELEMS // max(qc * (d - lo + kf * kf), 1), 1)
+            for i in range(0, len(nodes[0]) if qc > 0 else 0, step):
+                w = rc = Lc = None   # free the last batch before this one
+                P, W, r, *L = (a[i : i + step] for a in nodes)
+                piv = r[:, :qc]
+                ok = piv > tol
+                with np.errstate(over="ignore", invalid="ignore"):
+                    w = (A[m + 1 : m + 1 + qc, lo:]
+                         - np.matmul(W[:, :, :qc].transpose(0, 2, 1),
+                                     W[:, :, lo - m - 1 :]))
+                    w /= np.sqrt(np.where(ok, piv, 1.0))[:, :, None]
+                    rc = r[:, None, lo - m - 1 :] - w * w
+                if not leaves:   # L bordered by the new row and sqrt(pivot)
+                    Lc = np.zeros((len(P), qc, kf, kf))
+                    Lc[:, :, :k, :k] = L[0][:, None]
+                    Lc[:, :, k, :k] = W[:, :, :qc].transpose(0, 2, 1)
+                    Lc[:, :, k, k] = np.sqrt(np.where(ok, piv, 1.0))
+                yield P, m, W, ok, w, rc, Lc
+                for c in () if last else np.flatnonzero(ok.any(axis=0)):
+                    sel = ok[:, c]
+                    child = (np.column_stack([P[sel],
+                                              np.full(sel.sum(), m + 1 + c)]),
+                             np.concatenate([W[sel, :, c + 1 :],
+                                             w[sel, None, c, c + 1 :]], axis=1),
+                             rc[sel, c, c + 1 :])
+                    nxt[m + 1 + c].append(child if leaves else
+                                          child + (Lc[sel, c],))
+        level = {j: tuple(np.concatenate(a) for a in zip(*parts))
+                 for j, parts in nxt.items()}
+
+
+def _back_substitute(L: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """x with L' x = z for stacks of lower-triangular L (m, k, k), z (m, k)."""
+    x = np.empty_like(z)
+    for i in range(z.shape[1] - 1, -1, -1):
+        x[:, i] = ((z[:, i] - np.einsum("mj,mj->m", L[:, i + 1 :, i],
+                                        x[:, i + 1 :]))
+                   / L[:, i, i])
+    return x
+
+
+def _subset_fits(data, s_max: int):
+    """Least-squares fit of every subset with at most s_max columns: one
+    (rss, beta, full_rank) triple per size k, rows in subset_index_array
+    order, beta one coefficient per column of the row.
+
+    The walk runs on [[G, X'y], [y'X, y'y]], so a node's carried Schur entry
+    is its RSS and its carried column of W is z, with beta = L'^-1 z.  A
+    pivot <= EPS_RANK * n fails (the chain's subsets._schur_step rule); that
+    subset and its completions get the dense fit of subsets._svd_fit.
+    """
+    p = data.p
+    A = np.block([[data.gram, data.xty[:, None]],
+                  [data.xty[None, :], np.array([[data.yty]])]])
+    fits = [(np.empty(math.comb(p, k)), np.empty((math.comb(p, k), k)),
+             np.ones(math.comb(p, k), dtype=bool)) for k in range(s_max + 1)]
+    fits[0][0][:] = data.yty
+    failed = [[] for _ in range(s_max + 1)]
+    for P, m, W, ok, w, rc, Lc in _cholesky_walk(A, p, s_max,
+                                                 EPS_RANK * data.n):
+        k = P.shape[1] + 1
+        rss, beta, _ = fits[k]
+        b, c = np.nonzero(ok)
+        at = subset_rank(np.column_stack([P[b], m + 1 + c]), p)
+        rss[at] = np.maximum(rc[b, c, -1], 0.0)
+        beta[at] = _back_substitute(Lc[b, c], np.column_stack([W[b, :, -1],
+                                                               w[b, c, -1]]))
+        for j in np.flatnonzero(~ok.all(axis=0)):
+            for t in range(s_max - k + 1):
+                failed[k + t].append(_completions(P[~ok[:, j]], m + 1 + j, p, t))
+    for (rss, beta, full), parts in zip(fits, failed):
+        if not parts:
+            continue
+        rows = np.concatenate(parts)
+        at = subset_rank(rows, p)
+        full[at] = False
+        step = max(_SCREEN_ELEMS // (data.n * rows.shape[1]), 1)
+        for i in range(0, len(rows), step):
+            beta[at[i:i + step]], rss[at[i:i + step]] = _svd_fit(
+                data, rows[i:i + step])
+    return fits

@@ -13,12 +13,11 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .enumeration import (ENUMERATION_CAP, SCAN_CHUNK, batched_rss,
-                          check_cap, subset_count, subset_index_array,
-                          subset_rank)
+from .enumeration import (_subset_fits, check_cap, subset_count,
+                          subset_index_array, subset_rank)
 from .errors import DomainError
 from .priors import NEG_INF, PosteriorConfig, log_prior, log_prior_table
-from .subsets import EPS_RANK, _check_subset, least_squares_min_norm, residual_ss
+from .subsets import _check_subset, least_squares_min_norm, residual_ss
 
 
 def log_posterior_unnorm(data: Dataset, J, cfg: PosteriorConfig) -> float:
@@ -32,7 +31,6 @@ def log_posterior_unnorm(data: Dataset, J, cfg: PosteriorConfig) -> float:
 
 @dataclass
 class _SizeBlock:
-    size: int
     subsets: np.ndarray      # (m, size) lexicographic
     log_weight: np.ndarray   # (m,)
     prob: np.ndarray         # (m,)
@@ -45,6 +43,9 @@ class PosteriorTable:
     mean_beta is the posterior mean of the minimum-norm fits;
     restricted_mean_beta keeps only the full-rank supports, with their
     original weights (a sub-probability average, not a renormalized one).
+    Full rank is the chain's Schur-pivot rule: every Cholesky pivot of
+    X_J'X_J, in sorted column order, above EPS_RANK * n, as for
+    SubsetState.full_rank.
     """
 
     p: int
@@ -98,36 +99,19 @@ def enumerate_posterior(data: Dataset, cfg: PosteriorConfig,
     """
     p = data.p
     s_max = min(cfg.max_support, p)
-    total = subset_count(p, s_max)
-    check_cap(total, cap if cap is not None else ENUMERATION_CAP)
+    check_cap(subset_count(p, s_max), cap)
 
     lp = log_prior_table(p, cfg)
-    eps_n = EPS_RANK * data.n
-    G, b, yty = data.gram, data.xty, data.yty
-    twos2 = 2.0 * cfg.sigma2
-
-    blocks: list[_SizeBlock] = []
-    fits = []   # (size, first row, beta rows, full rank) per scanned chunk
-    for s in range(s_max + 1):
-        subs = subset_index_array(p, s)
-        m = len(subs)
-        rss = np.empty(m)
-        for lo in range(0, m, SCAN_CHUNK):
-            hi = min(lo + SCAN_CHUNK, m)
-            rss[lo:hi], min_eig, beta = batched_rss(G, b, yty, subs[lo:hi], eps_n)
-            if s:
-                fits.append((s, lo, beta, min_eig > eps_n))
-        logw = lp[s] - rss / twos2
-        blocks.append(_SizeBlock(s, subs, logw, np.empty(m)))
-
-    peak = max(float(np.max(b.log_weight)) for b in blocks)
-    total_mass = sum(float(np.sum(np.exp(b.log_weight - peak))) for b in blocks)
-    log_norm = peak + np.log(total_mass)
+    fits = _subset_fits(data, s_max)
+    logw = [lp[s] - rss / (2.0 * cfg.sigma2) for s, (rss, _, _) in enumerate(fits)]
+    peak = max(float(np.max(lw)) for lw in logw)
+    log_norm = peak + np.log(sum(float(np.sum(np.exp(lw - peak))) for lw in logw))
+    blocks = [_SizeBlock(subset_index_array(p, s), lw, np.exp(lw - log_norm))
+              for s, lw in enumerate(logw)]
 
     map_subset: tuple[int, ...] = ()
     map_lw = NEG_INF
     for b in blocks:
-        b.prob = np.exp(b.log_weight - log_norm)
         i = int(np.argmax(b.log_weight))
         if b.log_weight[i] > map_lw:
             map_lw = float(b.log_weight[i])
@@ -135,13 +119,11 @@ def enumerate_posterior(data: Dataset, cfg: PosteriorConfig,
 
     mean = np.zeros(p)
     restricted = np.zeros(p)
-    for s, lo, beta, ok in fits:
-        subs = blocks[s].subsets[lo : lo + len(beta)]
-        wb = blocks[s].prob[lo : lo + len(beta), None] * beta
-        mean += np.bincount(subs.ravel(), weights=wb.ravel(), minlength=p)
-        if np.any(ok):
-            restricted += np.bincount(subs[ok].ravel(),
-                                      weights=wb[ok].ravel(), minlength=p)
+    for b, (_, beta, full) in zip(blocks, fits):
+        wb = b.prob[:, None] * beta
+        mean += np.bincount(b.subsets.ravel(), weights=wb.ravel(), minlength=p)
+        restricted += np.bincount(b.subsets[full].ravel(),
+                                  weights=wb[full].ravel(), minlength=p)
 
     return PosteriorTable(p=p, blocks=blocks, log_normalizer=float(log_norm),
                           map_subset=map_subset, map_log_weight=map_lw,

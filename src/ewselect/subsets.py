@@ -261,16 +261,18 @@ def update_remove(state: SubsetState, j: int, data: Dataset) -> SubsetState:
                        drift, state.cfg)
 
 
-def _svd_fit(data: Dataset, support: tuple[int, ...]):
-    """(minimum-norm coefficients in `support` order, rss) from the SVD of
-    X_J, dropping directions with squared singular value <= EPS_RANK * n."""
-    XJ = data.X[:, np.asarray(support, dtype=np.intp)]
+def _svd_fit(data: Dataset, supports: np.ndarray):
+    """(minimum-norm coefficients (m, k), rss (m,)) for a stack of m
+    same-size supports (rows of column indices, coefficients in row order),
+    from the SVD of each X_J, dropping directions with squared singular
+    value <= EPS_RANK * n."""
+    XJ = np.moveaxis(data.X[:, supports], 1, 0)          # (m, n, k)
     U, svals, Vt = np.linalg.svd(XJ, full_matrices=False)
     keep = svals * svals > EPS_RANK * data.n
-    Uk = U[:, keep]
-    uty = Uk.T @ data.y
-    r = data.y - Uk @ uty
-    return Vt[keep].T @ (uty / svals[keep]), float(r @ r)
+    uty = np.where(keep, data.y @ U, 0.0)
+    r = data.y - np.einsum("mnr,mr->mn", U, uty)
+    coef = np.einsum("mrk,mr->mk", Vt, uty / np.where(keep, svals, 1.0))
+    return coef, np.einsum("mn,mn->m", r, r)
 
 
 def least_squares_min_norm(data: Dataset, J) -> np.ndarray:
@@ -298,7 +300,7 @@ def least_squares_min_norm(data: Dataset, J) -> np.ndarray:
         beta[idx] = solve_triangular(L, w, lower=True, trans="T",
                                      check_finite=False)
     else:
-        beta[idx] = _svd_fit(data, support)[0]
+        beta[idx] = _svd_fit(data, idx[None])[0][0]
     return beta
 
 
@@ -312,4 +314,4 @@ def residual_ss(data: Dataset, J) -> float:
     support = _check_subset(J, data.p)
     if not support:
         return data.yty
-    return _svd_fit(data, support)[1]
+    return float(_svd_fit(data, np.asarray([support]))[1][0])

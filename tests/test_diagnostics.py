@@ -219,6 +219,13 @@ class TestRestrictedSingularValues:
                 true_min = min(true_min, lo)
         assert est >= true_min - 1e-9
 
+    def test_fullrank_envelope_validated(self, rng):
+        d = Dataset(rng.standard_normal((20, 8)), rng.standard_normal(20))
+        for kwargs in ({"max_size": 0}, {"max_size": -2}, {"samples": 0},
+                       {"samples": -5}):
+            with pytest.raises(DomainError):
+                min_fullrank_singular_estimate(d, **kwargs)
+
 
 class TestIdentifiability:
     def test_orthogonal_identifiable(self, rng):
@@ -310,6 +317,11 @@ class TestCovarianceBounds:
     def test_validation(self):
         with pytest.raises(DomainError):
             covariance_subset_bounds(np.array([[1.0, 0.5], [0.4, 1.0]]), 1)
+
+    def test_enumeration_cap(self):
+        # C(56, 5) = 3,819,816 submatrices, over the default cap
+        with pytest.raises(TooLargeError):
+            covariance_subset_bounds(np.eye(56), 5)
 
 
 class TestDesignReport:

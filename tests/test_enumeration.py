@@ -1,15 +1,15 @@
-import math
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from ewselect import (Dataset, PosteriorConfig, enumerate_posterior,
-                      exact_estimators, subset_min_singular)
+from ewselect import (DomainError, Dataset, L0Config, PosteriorConfig,
+                      enumerate_posterior, exact_estimators, l0_select,
+                      make_state)
 import ewselect.enumeration as enumeration
-from ewselect.enumeration import (batched_rss, gather_gram, subset_index_array,
-                                  subset_rank)
-from ewselect.subsets import EPS_RANK, least_squares_min_norm, residual_ss
+from ewselect.enumeration import (_subset_fits, gather_gram,
+                                  subset_index_array, subset_rank)
+from ewselect.subsets import least_squares_min_norm, residual_ss
 
 
 def designs(rng):
@@ -27,30 +27,27 @@ def designs(rng):
 
 
 class TestBatchedRss:
+    """The per-size (rss, beta, full_rank) rows of the prefix-sharing walk."""
+
     @pytest.mark.parametrize("s", [1, 2, 3, 4])
     def test_rows_match_dense_solvers(self, rng, s):
         for d in designs(rng):
             subs = subset_index_array(d.p, s)
-            rss, min_eig, beta = batched_rss(d.gram, d.xty, d.yty, subs,
-                                             EPS_RANK * d.n)
-            assert rss.shape == min_eig.shape == (len(subs),)
+            rss, beta, full = _subset_fits(d, s)[s]
+            assert rss.shape == full.shape == (len(subs),)
             assert beta.shape == subs.shape
             for row, J in enumerate(subs):
                 J = tuple(int(v) for v in J)
                 assert rss[row] == pytest.approx(residual_ss(d, J),
-                                                 abs=1e-9 * d.yty)
+                                                 abs=1e-12 * d.yty)
                 np.testing.assert_allclose(
                     beta[row], least_squares_min_norm(d, J)[list(J)],
                     rtol=1e-7, atol=1e-8)
-                assert min_eig[row] == pytest.approx(
-                    d.n * subset_min_singular(d, J) ** 2, abs=1e-9 * d.n)
 
     def test_empty_subset_rows(self, small_data):
-        subs = subset_index_array(small_data.p, 0)
-        rss, min_eig, beta = batched_rss(small_data.gram, small_data.xty,
-                                         small_data.yty, subs, 1e-9)
+        [(rss, beta, full)] = _subset_fits(small_data, 0)
         assert rss.tolist() == [small_data.yty]
-        assert min_eig.tolist() == [math.inf]
+        assert full.tolist() == [True]
         assert beta.shape == (1, 0)
 
     def test_gather_gram_blocks(self, small_data):
@@ -79,6 +76,46 @@ class TestEnumerationMeans:
         np.testing.assert_array_equal(
             est.map_beta, least_squares_min_norm(d, table.map_subset))
 
+    def test_scans_solve_no_eigenproblem(self, rng, monkeypatch):
+        X = rng.standard_normal((25, 9))
+        X[:, 8] = X[:, 2]
+        d = Dataset(X, rng.standard_normal(25))
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("an exact scan solved an eigenproblem")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        table = enumerate_posterior(
+            d, PosteriorConfig(lam=1.0, max_support=3, sigma2=1.0))
+        assert sum(pr for _, _, pr in table.entries()) == pytest.approx(1.0)
+        support, _ = l0_select(d, L0Config(lam=2.0, max_support=3,
+                                           strategy="exhaustive"))
+        # columns 2 and 8 are equal, so the minimizer is tied; compare values
+        best = min(residual_ss(d, J) + 2.0 * len(J)
+                   for s in range(4) for J in combinations(range(9), s))
+        assert residual_ss(d, support) + 2.0 * len(support) == pytest.approx(
+            best, abs=1e-9 * d.yty)
+
+    def test_restricted_mean_follows_the_chain_rank_rule(self, rng):
+        cfg = PosteriorConfig(lam=1.0, max_support=4, sigma2=1.0)
+        deficient = 0
+        for d in designs(rng):
+            table = enumerate_posterior(d, cfg)
+            oracle = np.zeros(d.p)
+            for J, _, pr in table.entries():
+                if make_state(d, J, cfg).full_rank:
+                    oracle += pr * least_squares_min_norm(d, J)
+                else:
+                    deficient += 1
+            np.testing.assert_allclose(table.restricted_mean_beta, oracle,
+                                       rtol=1e-7, atol=1e-8)
+            # the flag itself, support by support, whatever its weight
+            for k, (_, _, full) in enumerate(_subset_fits(d, 4)):
+                assert full.tolist() == [
+                    make_state(d, J, cfg).full_rank
+                    for J in subset_index_array(d.p, k)]
+        assert deficient > 0
+
 
 class TestSubsetIndexArray:
     @pytest.mark.parametrize("p,s", [(0, 0), (1, 0), (1, 1), (6, 0), (6, 1),
@@ -92,6 +129,14 @@ class TestSubsetIndexArray:
         assert not subs.flags.writeable
         assert [tuple(int(v) for v in row) for row in subs] == ref
         assert all(subset_rank(row, p) == i for i, row in enumerate(ref))
+        # one vectorized call over the stack, columns in any order
+        np.testing.assert_array_equal(subset_rank(subs[:, ::-1], p),
+                                      np.arange(len(ref)))
+
+    def test_rank_rejects_bad_rows(self):
+        for rows in ([[0, 0]], [[0, 3]], [[-1, 2]], (1, 1)):
+            with pytest.raises(DomainError):
+                subset_rank(rows, 3)
 
     def test_cache_is_bounded_by_bytes(self):
         built = []

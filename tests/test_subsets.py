@@ -6,7 +6,7 @@ import pytest
 from ewselect import (Dataset, DomainError, NonFiniteError, PosteriorConfig,
                       empty_state, least_squares_min_norm, make_state,
                       rescale_columns, residual_ss, update_add, update_remove)
-from ewselect.enumeration import batched_rss
+from ewselect.enumeration import _subset_fits
 from ewselect.subsets import EPS_RANK, peek_rss_add, peek_rss_remove
 
 from conftest import normalized_gaussian
@@ -113,8 +113,8 @@ class TestLeastSquaresMinNorm:
         d = Dataset(X, X[:, 0] + rng.standard_normal(n))
         assert np.linalg.svd(X, compute_uv=False)[-1] ** 2 < EPS_RANK * n
         beta = least_squares_min_norm(d, (0, 1))
-        _, _, rows = batched_rss(d.gram, d.xty, d.yty, np.array([[0, 1]]),
-                                 EPS_RANK * n)
+        _, rows, full = _subset_fits(d, 2)[2]   # the one row is (0, 1)
+        assert not full[0]
         np.testing.assert_allclose(beta, rows[0], rtol=1e-8)
         r = d.y - X @ beta
         assert float(r @ r) == pytest.approx(residual_ss(d, (0, 1)), rel=1e-10)
