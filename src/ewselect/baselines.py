@@ -62,7 +62,7 @@ def _exhaustive_l0(data: Dataset, cfg: L0Config):
     check_cap(subset_count(data.p, s_max))
     best_val = math.inf
     best: tuple[int, ...] = ()
-    for s, (rss, _, _) in enumerate(_subset_fits(data, s_max)):
+    for s, (rss, _, _) in enumerate(_subset_fits(data, s_max, rss_only=True)):
         i = int(np.argmin(rss))
         val = float(rss[i]) + cfg.lam * s
         # size-ascending scan with strict < keeps the sparser, then
@@ -138,14 +138,14 @@ def lasso_coordinate_descent(data: Dataset, cfg: LassoConfig) -> np.ndarray:
     cfg.max_iter sweeps.  Each update is an exact coordinate minimization,
     so the objective is nonincreasing across sweeps.
     """
-    X, y, n, p = data.X, data.y, data.n, data.p
-    col_sq = np.einsum("ij,ij->j", X, X) / n
+    y, n, p = data.y, data.n, data.p
+    col_sq = data.col_sq / n
     if np.any(col_sq == 0.0):
         raise DomainError("lasso requires nonzero columns")
     beta = np.zeros(p)
     r = np.array(y)
     lam = cfg.lam
-    cols = [np.ascontiguousarray(X[:, j]) for j in range(p)]
+    cols = data.xt
 
     def sweep(indices) -> float:
         nonlocal r

@@ -21,8 +21,11 @@ class Dataset:
     """Immutable (X, y) pair, optionally with a known noise scale sigma.
 
     The arrays are copied and marked read-only so a Dataset can be shared
-    freely across threads or subprocesses.  Cross-products used by the
-    subset machinery (X'X, X'y, y'y) are computed once and cached.
+    freely across threads or subprocesses.  Derived arrays are computed once
+    and cached.  The chain reads only O(np) of them: the transposed copy
+    `xt`, whose rows are the columns of X, and `col_sq`, besides X'y and y'y.
+    The p x p X'X is built only for the exact subset scans (enumeration and
+    diagnostics), which the enumeration cap bounds.
     """
 
     def __init__(self, X, y, sigma: float | None = None):
@@ -53,6 +56,20 @@ class Dataset:
         g = self.X.T @ self.X
         g.setflags(write=False)
         return g
+
+    @cached_property
+    def xt(self) -> np.ndarray:
+        """X' as a C-contiguous (p, n) copy, read-only: row j is column j."""
+        t = np.ascontiguousarray(self.X.T)
+        t.setflags(write=False)
+        return t
+
+    @cached_property
+    def col_sq(self) -> np.ndarray:
+        """||X_j||^2 for every column, shape (p,), read-only."""
+        sq = np.einsum("ij,ij->j", self.X, self.X)
+        sq.setflags(write=False)
+        return sq
 
     @cached_property
     def xty(self) -> np.ndarray:

@@ -79,11 +79,11 @@ def _shifted_cholesky_screen(G: np.ndarray, s: int, shift: float, want: str):
     p = len(G)
     A = G.copy()
     A[np.diag_indices(p)] -= shift
-    for P, m, _, ok, _, rc, _ in _cholesky_walk(A, p, s - 1, 0.0,
-                                                leaves=True):
+    for P, f, _, ok, _, rc, _ in _cholesky_walk(A, p, s - 1, 0.0,
+                                                leaves=True, factors=False):
         k = P.shape[1]
         if k == s - 2:
-            # leaf P[b] + (m+1+c, m+1+l), l > c, has last pivot rc[b, c, l]
+            # leaf P[b] + (f+c, f+l), l > c, has last pivot rc[b, c, l]
             later = np.triu(np.ones(rc.shape[1:], dtype=bool), 1)
             if want == "min":
                 hit = ~ok[:, :, None] | ~(rc > 0)
@@ -91,10 +91,10 @@ def _shifted_cholesky_screen(G: np.ndarray, s: int, shift: float, want: str):
                 hit = ok[:, :, None] & (rc > 0)
             b, c, l = np.nonzero(hit & later)
             hit = rc = None   # free them before the walk builds the next batch
-            yield np.column_stack([P[b], m + 1 + c, m + 1 + l])
+            yield np.column_stack([P[b], f + c, f + l])
         elif want == "min":
             for c in np.flatnonzero(~ok.all(axis=0)):
-                yield _completions(P[~ok[:, c]], m + 1 + c, p, s - k - 1)
+                yield _completions(P[~ok[:, c]], f + c, p, s - k - 1)
 
 
 def _scan_min_eig(G: np.ndarray, s: int, want: str) -> float:

@@ -146,7 +146,7 @@ def _completions(P: np.ndarray, j: int, p: int, t: int) -> np.ndarray:
 
 
 def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
-                   leaves: bool = False):
+                   leaves: bool = False, factors: bool = True):
     """Prefix-sharing Cholesky factorizations of A[J, J] for every sorted
     subset J of range(q) with at most `depth` columns; columns q.. of the
     symmetric A are carried along, never branched on.
@@ -154,55 +154,73 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
     A node is a prefix P (largest column m) with A[P, P] = L L',
     W = L^-1 A[P, m+1:] and Schur diagonal r = diag(A)[m+1:] - colsum(W^2).
     Nodes of one size and largest column are expanded in batches of at most
-    _SCREEN_ELEMS child entries, yielded as (P, m, W, ok, w, rc, Lc): child
-    P[b] + (m+1+c) succeeds (ok) when its last pivot is > tol, not NaN; its
-    new row of W is w[b, c], its r is rc[b, c] (both over the last
-    w.shape[2] columns of A) and its factor is Lc[b, c].  Failed children
-    and children of size `depth` are not expanded; the latter's rows cover
-    only the carried columns.
+    _SCREEN_ELEMS child entries, split over nodes and, when one node's
+    children alone exceed that, over its child columns.  A batch is yielded
+    as (P, f, W, ok, w, rc, Lc): child P[b] + (f+c) succeeds (ok) when its
+    last pivot is > tol, not NaN; its new row of W is w[b, c], its r is
+    rc[b, c] (both over the last w.shape[2] columns of A, from column f on)
+    and its factor is Lc[b, c].  Failed children and children of size
+    `depth` are not expanded; the latter's rows cover only the carried
+    columns.  Without `factors`, no factors are kept and Lc is None.
 
     With `leaves`, only the pivots of the size depth + 1 subsets are wanted:
-    no factors are kept (Lc is None), children that cannot reach that size
-    are skipped, and the last rows cover all later columns, so rc[b, c, l]
-    is the last pivot of the leaf P[b] + (m+1+c, m+1+l).
+    children that cannot reach that size are skipped, and the last rows
+    cover all later columns, so rc[b, c, l] is the last pivot of the leaf
+    P[b] + (f+c, f+l).
     """
     d = len(A)
     root = (np.empty((1, 0), np.intp), np.empty((1, 0, d)), np.diag(A)[None, :])
-    level = {-1: root if leaves else root + (np.empty((1, 0, 0)),)}
+    level = {-1: root + (np.empty((1, 0, 0)),) if factors else root}
     for k in range(depth):
         last = k == depth - 1
-        kf = 0 if leaves else k + 1   # size of the children's factors
+        kf = k + 1 if factors else 0   # size of the children's factors
         nxt = defaultdict(list)
         for m, nodes in level.items():
             qc = q - 1 - m - (depth - k if leaves else 0)
-            lo = q if last and not leaves else m + 1   # first column of w
-            step = max(_SCREEN_ELEMS // max(qc * (d - lo + kf * kf), 1), 1)
-            for i in range(0, len(nodes[0]) if qc > 0 else 0, step):
-                w = rc = Lc = None   # free the last batch before this one
-                P, W, r, *L = (a[i : i + step] for a in nodes)
-                piv = r[:, :qc]
-                ok = piv > tol
-                with np.errstate(over="ignore", invalid="ignore"):
-                    w = (A[m + 1 : m + 1 + qc, lo:]
-                         - np.matmul(W[:, :, :qc].transpose(0, 2, 1),
-                                     W[:, :, lo - m - 1 :]))
-                    w /= np.sqrt(np.where(ok, piv, 1.0))[:, :, None]
-                    rc = r[:, None, lo - m - 1 :] - w * w
-                if not leaves:   # L bordered by the new row and sqrt(pivot)
-                    Lc = np.zeros((len(P), qc, kf, kf))
-                    Lc[:, :, :k, :k] = L[0][:, None]
-                    Lc[:, :, k, :k] = W[:, :, :qc].transpose(0, 2, 1)
-                    Lc[:, :, k, k] = np.sqrt(np.where(ok, piv, 1.0))
-                yield P, m, W, ok, w, rc, Lc
-                for c in () if last else np.flatnonzero(ok.any(axis=0)):
-                    sel = ok[:, c]
-                    child = (np.column_stack([P[sel],
-                                              np.full(sel.sum(), m + 1 + c)]),
-                             np.concatenate([W[sel, :, c + 1 :],
-                                             w[sel, None, c, c + 1 :]], axis=1),
-                             rc[sel, c, c + 1 :])
-                    nxt[m + 1 + c].append(child if leaves else
-                                          child + (Lc[sel, c],))
+            if qc <= 0:
+                continue
+            carried = last and not leaves   # rows cover columns q.. only
+            # numpy multiplies a one-row or one-column block as a
+            # matrix-vector product, whose bits change when it is cut.  So
+            # child columns go in balanced chunks (no lone child while
+            # width >= 3), and carried rows, whose product has one column,
+            # are cut by nodes only; they hold 1 + kf^2 entries per child.
+            width = qc if carried else max(
+                _SCREEN_ELEMS // (d - m - 1 + kf * kf), 1)
+            chunks = -(-qc // width)
+            cuts = [qc * i // chunks for i in range(chunks + 1)]
+            for c0, c1 in zip(cuts, cuts[1:]):
+                f, nc = m + 1 + c0, c1 - c0
+                lo = q if carried else f   # first column of w
+                step = max(_SCREEN_ELEMS // (nc * (d - lo + kf * kf)), 1)
+                for i in range(0, len(nodes[0]), step):
+                    w = rc = Lc = None   # free the last batch before this one
+                    P, W, r, *L = (a[i : i + step] for a in nodes)
+                    Wc = W[:, :, c0 : c0 + nc]
+                    piv = r[:, c0 : c0 + nc]
+                    ok = piv > tol
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        w = (A[f : f + nc, lo:]
+                             - np.matmul(Wc.transpose(0, 2, 1),
+                                         W[:, :, lo - m - 1 :]))
+                        w /= np.sqrt(np.where(ok, piv, 1.0))[:, :, None]
+                        rc = r[:, None, lo - m - 1 :] - w * w
+                    if factors:   # L bordered by the new row and sqrt(pivot)
+                        Lc = np.zeros((len(P), nc, kf, kf))
+                        Lc[:, :, :k, :k] = L[0][:, None]
+                        Lc[:, :, k, :k] = Wc.transpose(0, 2, 1)
+                        Lc[:, :, k, k] = np.sqrt(np.where(ok, piv, 1.0))
+                    yield P, f, W, ok, w, rc, Lc
+                    for c in () if last else np.flatnonzero(ok.any(axis=0)):
+                        sel = ok[:, c]
+                        child = (np.column_stack([P[sel],
+                                                  np.full(sel.sum(), f + c)]),
+                                 np.concatenate([W[sel, :, c0 + c + 1 :],
+                                                 w[sel, None, c, c + 1 :]],
+                                                axis=1),
+                                 rc[sel, c, c + 1 :])
+                        nxt[f + c].append(child + (Lc[sel, c],) if factors
+                                          else child)
         level = {j: tuple(np.concatenate(a) for a in zip(*parts))
                  for j, parts in nxt.items()}
 
@@ -217,10 +235,11 @@ def _back_substitute(L: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x
 
 
-def _subset_fits(data, s_max: int):
+def _subset_fits(data, s_max: int, rss_only: bool = False):
     """Least-squares fit of every subset with at most s_max columns: one
     (rss, beta, full_rank) triple per size k, rows in subset_index_array
-    order, beta one coefficient per column of the row.
+    order, beta one coefficient per column of the row (None with
+    `rss_only`, which builds no factors and solves for no beta).
 
     The walk runs on [[G, X'y], [y'X, y'y]], so a node's carried Schur entry
     is its RSS and its carried column of W is z, with beta = L'^-1 z.  A
@@ -230,22 +249,24 @@ def _subset_fits(data, s_max: int):
     p = data.p
     A = np.block([[data.gram, data.xty[:, None]],
                   [data.xty[None, :], np.array([[data.yty]])]])
-    fits = [(np.empty(math.comb(p, k)), np.empty((math.comb(p, k), k)),
+    fits = [(np.empty(math.comb(p, k)),
+             None if rss_only else np.empty((math.comb(p, k), k)),
              np.ones(math.comb(p, k), dtype=bool)) for k in range(s_max + 1)]
     fits[0][0][:] = data.yty
     failed = [[] for _ in range(s_max + 1)]
-    for P, m, W, ok, w, rc, Lc in _cholesky_walk(A, p, s_max,
-                                                 EPS_RANK * data.n):
+    for P, f, W, ok, w, rc, Lc in _cholesky_walk(
+            A, p, s_max, EPS_RANK * data.n, factors=not rss_only):
         k = P.shape[1] + 1
         rss, beta, _ = fits[k]
         b, c = np.nonzero(ok)
-        at = subset_rank(np.column_stack([P[b], m + 1 + c]), p)
+        at = subset_rank(np.column_stack([P[b], f + c]), p)
         rss[at] = np.maximum(rc[b, c, -1], 0.0)
-        beta[at] = _back_substitute(Lc[b, c], np.column_stack([W[b, :, -1],
-                                                               w[b, c, -1]]))
+        if not rss_only:
+            beta[at] = _back_substitute(
+                Lc[b, c], np.column_stack([W[b, :, -1], w[b, c, -1]]))
         for j in np.flatnonzero(~ok.all(axis=0)):
             for t in range(s_max - k + 1):
-                failed[k + t].append(_completions(P[~ok[:, j]], m + 1 + j, p, t))
+                failed[k + t].append(_completions(P[~ok[:, j]], f + j, p, t))
     for (rss, beta, full), parts in zip(fits, failed):
         if not parts:
             continue
@@ -254,6 +275,7 @@ def _subset_fits(data, s_max: int):
         full[at] = False
         step = max(_SCREEN_ELEMS // (data.n * rows.shape[1]), 1)
         for i in range(0, len(rows), step):
-            beta[at[i:i + step]], rss[at[i:i + step]] = _svd_fit(
-                data, rows[i:i + step])
+            coef, rss[at[i:i + step]] = _svd_fit(data, rows[i:i + step])
+            if not rss_only:
+                beta[at[i:i + step]] = coef
     return fits

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .data import Dataset
 from .errors import DomainError
@@ -29,6 +29,22 @@ EPS_RANK = 1e-10
 DRIFT_LIMIT = 1e-6
 
 _EPS = float(np.finfo(np.float64).eps)
+
+
+def _tri_solve(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
+    """x with L x = b (trans 0) or L' x = b (trans 1) for a C-ordered lower
+    triangular L, straight through LAPACK trtrs.
+
+    trtrs reads Fortran order, so it gets L' as an upper factor with the
+    transpose flag flipped, which is what scipy.linalg.solve_triangular
+    does for C-ordered input; the result is the same to the bit, without
+    that wrapper's per-call validation.
+    """
+    x, info = dtrtrs(L.T, b, lower=0, trans=1 - trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"triangular solve failed (trtrs info {info})")
+    return x
 
 
 def _check_subset(J, p) -> tuple[int, ...]:
@@ -89,8 +105,7 @@ class SubsetState:
                 idx = np.empty(0, dtype=np.intp)
                 val = np.empty(0)
             elif self.chol is not None:
-                val = solve_triangular(self.chol, self.qty, lower=True,
-                                       trans="T", check_finite=False)
+                val = _tri_solve(self.chol, self.qty, trans=1)
                 idx = self.order
             else:
                 dense = least_squares_min_norm(data, self.support)
@@ -133,15 +148,14 @@ def make_state(data: Dataset, J, cfg: PosteriorConfig) -> SubsetState:
 def _schur_step(state: SubsetState, j: int, data: Dataset):
     """(new factor row, squared pivot, new qty entry) for appending column j
     to a full-rank state; None when the pivot falls under the rank rule."""
-    G = data.gram
-    d = G[j, j]
+    d = data.col_sq[j]
     if state.size == 0:
         w = np.empty(0)
         sc = float(d)
         dot_wq = 0.0
     else:
-        c = G[state.order, j]
-        w = solve_triangular(state.chol, c, lower=True, check_finite=False)
+        c = data.xt[state.order] @ data.xt[j]
+        w = _tri_solve(state.chol, c)
         sc = float(d - w @ w)
         dot_wq = float(w @ state.qty)
     if sc <= EPS_RANK * data.n:
@@ -185,7 +199,7 @@ def _extend_state(state: SubsetState, j: int, data: Dataset) -> SubsetState:
     qty = np.append(state.qty, t_new)
     order = np.append(state.order, j)
 
-    drift = state.drift + _EPS * (state.rss + t_new * t_new + data.gram[j, j] / sc)
+    drift = state.drift + _EPS * (state.rss + t_new * t_new + data.col_sq[j] / sc)
     return SubsetState(support, order, chol, qty, rss,
                        _log_weight(state.cfg, data.p, s + 1, rss),
                        drift, state.cfg)
@@ -296,9 +310,7 @@ def least_squares_min_norm(data: Dataset, J) -> np.ndarray:
         L = None
     if L is not None and np.min(np.diag(L)) ** 2 > EPS_RANK * data.n:
         rhs = XJ.T @ data.y
-        w = solve_triangular(L, rhs, lower=True, check_finite=False)
-        beta[idx] = solve_triangular(L, w, lower=True, trans="T",
-                                     check_finite=False)
+        beta[idx] = _tri_solve(L, _tri_solve(L, rhs), trans=1)
     else:
         beta[idx] = _svd_fit(data, idx[None])[0][0]
     return beta

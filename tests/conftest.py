@@ -33,3 +33,11 @@ def small_data(rng):
     X = rng.standard_normal((15, 10))
     y = rng.standard_normal(15)
     return Dataset(X, y, 1.0)
+
+
+@pytest.fixture
+def no_gram(monkeypatch):
+    """Make any read of Dataset.gram, the p x p X'X, fail."""
+    def refuse(self):
+        raise AssertionError("the p x p Gram matrix was built")
+    monkeypatch.setattr(Dataset, "gram", property(refuse))

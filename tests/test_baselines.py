@@ -72,6 +72,13 @@ class TestL0Select:
         assert sup == (0, 1, 2)
         assert np.max(np.abs(fit - beta)) < 0.2
 
+    def test_greedy_never_builds_the_gram(self, no_gram):
+        data, _ = planted_instance(4, 60, 400, [2.0, -2.0, 1.5], sigma=0.2)
+        lam = 2.0 * data.sigma ** 2 * math.log(400) * 4
+        sup, _ = l0_select(data, L0Config(lam=lam, max_support=7,
+                                          strategy="greedy"))
+        assert sup == (0, 1, 2)
+
     def test_exhaustive_cap(self, rng):
         from ewselect import TooLargeError
         X = rng.standard_normal((10, 60))
@@ -240,6 +247,11 @@ class TestNoiseEstimate:
         data, _ = planted_instance(9, 120, 10, [1.5, -1.2, 0.9], sigma=0.7)
         est = estimate_noise_variance(data)
         assert est == pytest.approx(0.49, rel=0.35)
+
+    def test_never_builds_the_gram(self, no_gram):
+        data, _ = planted_instance(12, 100, 200, [1.0, -1.0], sigma=0.5)
+        est = estimate_noise_variance(data)
+        assert math.isfinite(est) and est > 0.0
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

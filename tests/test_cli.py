@@ -137,6 +137,17 @@ class TestFitCommand:
         assert got[0] == pytest.approx(1.5, abs=0.3)
         assert got[1] == pytest.approx(-1.2, abs=0.3)
 
+    def test_fit_never_builds_the_gram(self, tmp_path, rng, capsys, no_gram):
+        n, p = 60, 400
+        X = normalized_gaussian(rng, n, p)
+        y = X[:, :3] @ np.array([1.5, -1.2, 1.0]) + 0.3 * rng.standard_normal(n)
+        path = tmp_path / "wide.csv"
+        write_dataset_csv(path, X, y)
+        assert main(["fit", str(path), "--sigma", "0.3",
+                     "--t0", "200", "--t", "800"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0] == "index,coefficient"
+
     def test_estimates_sigma_when_missing(self, planted_csv, capsys):
         path = planted_csv[0]
         code = main(["fit", str(path), "--t0", "200", "--t", "800"])

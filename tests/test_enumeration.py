@@ -5,7 +5,9 @@ import pytest
 
 from ewselect import (DomainError, Dataset, L0Config, PosteriorConfig,
                       enumerate_posterior, exact_estimators, l0_select,
-                      make_state)
+                      make_state, max_restricted_singular,
+                      min_restricted_singular)
+import ewselect.diagnostics as diagnostics
 import ewselect.enumeration as enumeration
 from ewselect.enumeration import (_subset_fits, gather_gram,
                                   subset_index_array, subset_rank)
@@ -49,6 +51,53 @@ class TestBatchedRss:
         assert rss.tolist() == [small_data.yty]
         assert full.tolist() == [True]
         assert beta.shape == (1, 0)
+
+    def test_exhaustive_l0_reads_rss_only(self, rng, monkeypatch):
+        cfg = L0Config(lam=2.0, max_support=4, strategy="exhaustive")
+        for d in designs(rng):
+            full = _subset_fits(d, 4)
+            # size-ascending, then lex-first minimizer of rss + lam |J|
+            _, k, i = min((float(r) + 2.0 * k, k, i)
+                          for k, (rss, _, _) in enumerate(full)
+                          for i, r in enumerate(rss))
+            expected = tuple(int(v) for v in subset_index_array(d.p, k)[i])
+            with monkeypatch.context() as mp:
+                def refuse(*args):
+                    raise AssertionError("exhaustive l0 solved for beta")
+                mp.setattr(enumeration, "_back_substitute", refuse)
+                support, _ = l0_select(d, cfg)
+                rows = _subset_fits(d, 4, rss_only=True)
+            assert support == expected
+            for (rss, beta, ok), (rss0, _, ok0) in zip(rows, full):
+                assert beta is None
+                np.testing.assert_array_equal(rss, rss0)
+                np.testing.assert_array_equal(ok, ok0)
+
+    def test_batches_are_bounded_by_child_entries(self, rng, monkeypatch):
+        X = rng.standard_normal((30, 100))
+        X[:, 40] = X[:, 2]
+        wide = Dataset(X, rng.standard_normal(30))
+        cases = [(d, 4) for d in designs(rng)] + [(wide, 3)]
+        ref = [(_subset_fits(d, s), min_restricted_singular(d, 3),
+                max_restricted_singular(d, 3)) for d, s in cases]
+        walk, sizes = enumeration._cholesky_walk, []
+
+        def recording(*args, **kwargs):
+            for batch in walk(*args, **kwargs):
+                sizes.append((batch[0].shape[1], batch[4].size))
+                yield batch
+        monkeypatch.setattr(enumeration, "_SCREEN_ELEMS", 4096)
+        monkeypatch.setattr(enumeration, "_cholesky_walk", recording)
+        monkeypatch.setattr(diagnostics, "_cholesky_walk", recording)
+        for (d, s), (fits, lo, hi) in zip(cases, ref):
+            for got, want in zip(_subset_fits(d, s), fits):
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b)
+            assert min_restricted_singular(d, 3) == lo
+            assert max_restricted_singular(d, 3) == hi
+        assert max(size for _, size in sizes) <= 4096
+        # the wide design's root alone has 100 children of ~100 entries
+        assert sum(depth == 0 for depth, _ in sizes) > len(cases) * 3
 
     def test_gather_gram_blocks(self, small_data):
         subs = subset_index_array(small_data.p, 3)[::11]

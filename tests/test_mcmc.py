@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -187,6 +188,29 @@ class TestRunChain:
         acc = run_chain(data, cfg, ChainConfig(burn_in=50, samples=500,
                                                seed=8, init="lasso"))
         assert acc.best_support == (0, 1)
+
+    def test_chain_never_builds_the_gram(self, no_gram):
+        data, _ = planted_instance(37, 40, 300, [1.5, -1.5], sigma=0.4)
+        cfg = PosteriorConfig(lam=practical_lambda(300), max_support=6,
+                              sigma2=data.sigma ** 2)
+        acc = run_chain(data, cfg, ChainConfig(burn_in=50, samples=500,
+                                               seed=8, init="lasso"))
+        assert acc.best_support == (0, 1)
+
+    def test_chain_memory_is_bounded_by_x(self):
+        # X is 1.6 MB; a p x p Gram matrix would be 128 MB
+        data, _ = planted_instance(38, 50, 4000, [2.0, -2.0, 2.0], sigma=0.5)
+        cfg = PosteriorConfig(lam=practical_lambda(4000), max_support=10,
+                              sigma2=data.sigma ** 2)
+        tracemalloc.start()
+        try:
+            acc = run_chain(data, cfg, ChainConfig(burn_in=0, samples=2000,
+                                                   seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert acc.samples == 2000
+        assert peak < 10 * data.X.nbytes
 
     def test_explicit_init_validised(self):
         data, _ = planted_instance(36, 20, 6, [1.0], sigma=1.0)

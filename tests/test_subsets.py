@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from ewselect import (Dataset, DomainError, NonFiniteError, PosteriorConfig,
                       empty_state, least_squares_min_norm, make_state,
                       rescale_columns, residual_ss, update_add, update_remove)
 from ewselect.enumeration import _subset_fits
-from ewselect.subsets import EPS_RANK, peek_rss_add, peek_rss_remove
+from ewselect.subsets import (EPS_RANK, _tri_solve, peek_rss_add,
+                              peek_rss_remove)
 
 from conftest import normalized_gaussian
 
@@ -294,6 +296,53 @@ class TestIncrementalUpdates:
             update_add(st, 0, small_data)
         with pytest.raises(DomainError):
             update_remove(st, 5, small_data)
+
+
+class TestGramFreeStep:
+    """The chain's Schur step reads X (xt, col_sq), never the p x p Gram."""
+
+    def wide_design(self, rng):
+        X = rng.standard_normal((40, 300))
+        X[:, 7] = X[:, 3]                       # duplicated column
+        X[:, 12] = X[:, 3] - 2.0 * X[:, 5]      # dependent column
+        return Dataset(X, rng.standard_normal(40))
+
+    def test_steps_match_dense_references(self, rng, no_gram):
+        d = self.wide_design(rng)
+        tol = 1e-12 * d.yty
+        st = empty_state(d, CFG)
+        deficient = 0
+        fixed = [3, 5, 7, 12, 0, 299, 150]
+        rest = [int(j) for j in rng.permutation(300) if j not in fixed][:28]
+        for j in fixed + rest:
+            J = st.support + (j,)
+            assert peek_rss_add(st, j, d) == pytest.approx(residual_ss(d, J),
+                                                           abs=tol)
+            st = update_add(st, j, d)
+            assert st.rss == pytest.approx(residual_ss(d, J), abs=tol)
+            assert st.full_rank == make_state(d, J, CFG).full_rank
+            deficient += not st.full_rank
+            idx, val = st.beta_sparse(d)
+            np.testing.assert_allclose(
+                val, least_squares_min_norm(d, J)[idx], rtol=1e-7, atol=1e-8)
+            if not st.full_rank:   # drop the dependent column again
+                st = update_remove(st, j, d)
+        assert deficient == 2      # 7 duplicates 3, 12 depends on 3 and 5
+
+    def test_tri_solve_equals_solve_triangular(self, rng):
+        for k in range(1, 13):
+            M = rng.standard_normal((k + 3, k))
+            L = np.linalg.cholesky(M.T @ M)
+            b = rng.standard_normal(k)
+            for trans in (0, 1):
+                assert np.array_equal(
+                    _tri_solve(L, b, trans),
+                    solve_triangular(L, b, lower=True, trans=trans))
+
+    def test_tri_solve_raises_on_zero_diagonal(self):
+        L = np.array([[1.0, 0.0], [2.0, 0.0]])
+        with pytest.raises(np.linalg.LinAlgError):
+            _tri_solve(L, np.ones(2))
 
 
 class TestSplitProjectionBound:
