@@ -14,8 +14,8 @@ from .data import Dataset
 from .enumeration import (_subset_fits, check_cap, subset_count,
                           subset_index_array)
 from .errors import DomainError, NotConvergedError, SingularError
-from .subsets import (EPS_RANK, _check_subset, least_squares_min_norm,
-                      residual_ss)
+from .subsets import (EPS_RANK, _check_subset, _tri_solve,
+                      least_squares_min_norm, residual_ss)
 
 
 @dataclass(frozen=True)
@@ -240,8 +240,7 @@ def _solve_spd(psi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularError("X_S'X_S/n is not positive definite") from None
     if np.min(np.diag(L)) ** 2 <= EPS_RANK:
         raise SingularError("X_S'X_S/n is numerically rank-deficient")
-    w = np.linalg.solve(L, rhs)
-    return np.linalg.solve(L.T, w)
+    return _tri_solve(L, _tri_solve(L, rhs), trans=1)
 
 
 def estimate_noise_variance(data: Dataset) -> float:

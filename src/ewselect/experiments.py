@@ -63,10 +63,14 @@ class ExperimentSpec:
         if any(m not in METHOD_NAMES for m in methods):
             raise DomainError(f"unknown methods in {self.methods}")
         object.__setattr__(self, "methods", methods)
-        if self.lambda_kappa <= 0:
-            raise DomainError("lambda_kappa must be > 0")
-        if self.threshold is not None and self.threshold < 0:
+        if not (math.isfinite(self.lambda_kappa) and self.lambda_kappa > 0):
+            raise DomainError("lambda_kappa must be finite and > 0")
+        if self.threshold is not None and not self.threshold >= 0:  # or NaN
             raise DomainError("threshold must be >= 0")
+        if self.max_support is not None and self.max_support < 1:
+            raise DomainError("max_support must be >= 1")
+        if not (math.isfinite(self.lasso_a) and self.lasso_a > 0):
+            raise DomainError("lasso_a must be finite and > 0")
 
 
 def generate_instance(spec: ExperimentSpec, rep_index: int):

@@ -120,10 +120,11 @@ def enumerate_posterior(data: Dataset, cfg: PosteriorConfig,
     mean = np.zeros(p)
     restricted = np.zeros(p)
     for b, (_, beta, full) in zip(blocks, fits):
-        wb = b.prob[:, None] * beta
-        mean += np.bincount(b.subsets.ravel(), weights=wb.ravel(), minlength=p)
-        restricted += np.bincount(b.subsets[full].ravel(),
-                                  weights=wb[full].ravel(), minlength=p)
+        beta *= b.prob[:, None]      # the fits are local to this call
+        rows = b.subsets.ravel()
+        mean += np.bincount(rows, weights=beta.ravel(), minlength=p)
+        beta[~full] = 0.0            # adds +0.0: the sums do not change
+        restricted += np.bincount(rows, weights=beta.ravel(), minlength=p)
 
     return PosteriorTable(p=p, blocks=blocks, log_normalizer=float(log_norm),
                           map_subset=map_subset, map_log_weight=map_lw,

@@ -1,9 +1,10 @@
 """Incremental least-squares machinery over column subsets.
 
-A SubsetState caches the Cholesky factor of the active Gram matrix so a
-Metropolis move (add or remove one column) costs O(|J|^2) instead of a
-fresh O(n |J|^2) factorization.  Rank-deficient supports are detected via
-the Schur-complement pivot rule and fall back to dense minimum-norm
+A SubsetState caches the Cholesky factor of X_J'X_J in insertion `order`.
+Every full-rank state is, bit for bit, the fold of update_add's Schur step
+over its `order`: an add appends one row, and a removal re-appends the
+columns after the removed one in O(n |J|^2), so no update error builds up.
+Rank-deficient supports (Schur pivot rule) fall back to dense minimum-norm
 evaluation, so every subset of columns is a valid state.
 """
 
@@ -21,14 +22,6 @@ from .priors import PosteriorConfig, log_prior_table
 # Pivot is treated as rank-deficient when its Schur complement (a squared
 # length) falls at or below EPS_RANK * n; shared across modules.
 EPS_RANK = 1e-10
-
-# Refactorize from scratch once the accumulated update error could exceed
-# this fraction of the current residual sum of squares.  Not applied when
-# y'y = 0: every qty entry and every RSS is then exactly 0, and the bound
-# would be 0 too.
-DRIFT_LIMIT = 1e-6
-
-_EPS = float(np.finfo(np.float64).eps)
 
 
 def _tri_solve(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
@@ -77,16 +70,15 @@ class SubsetState:
     """
 
     __slots__ = ("support", "order", "chol", "qty", "rss", "log_weight",
-                 "drift", "cfg", "_beta")
+                 "cfg", "_beta")
 
-    def __init__(self, support, order, chol, qty, rss, log_weight, drift, cfg):
+    def __init__(self, support, order, chol, qty, rss, log_weight, cfg):
         self.support = support
         self.order = order
         self.chol = chol
         self.qty = qty
         self.rss = rss
         self.log_weight = log_weight
-        self.drift = drift
         self.cfg = cfg
         self._beta = None
 
@@ -128,20 +120,16 @@ def empty_state(data: Dataset, cfg: PosteriorConfig) -> SubsetState:
     rss = data.yty
     return SubsetState((), np.empty(0, dtype=np.intp),
                        np.empty((0, 0)), np.empty(0),
-                       rss, _log_weight(cfg, data.p, 0, rss), 0.0, cfg)
+                       rss, _log_weight(cfg, data.p, 0, rss), cfg)
 
 
 def make_state(data: Dataset, J, cfg: PosteriorConfig) -> SubsetState:
-    """Build the state for support J from scratch (drift resets to zero).
-
-    Folding one column at a time is the standard Cholesky algorithm, so
-    this is the refactorization target and never re-enters the drift check.
-    """
+    """Build the state for support J from scratch: the fold of update_add
+    over J in sorted order."""
     support = _check_subset(J, data.p)
     state = empty_state(data, cfg)
     for j in support:
-        state = _extend_state(state, j, data)
-    state.drift = 0.0
+        state = update_add(state, j, data)
     return state
 
 
@@ -164,7 +152,7 @@ def _schur_step(state: SubsetState, j: int, data: Dataset):
 
 
 def peek_rss_add(state: SubsetState, j: int, data: Dataset) -> float:
-    """RSS of support + {j} without building the new state.
+    """RSS of update_add(state, j, data), to the bit, without building it.
 
     Returns the dense-fallback value when the extension is rank-deficient.
     """
@@ -175,8 +163,9 @@ def peek_rss_add(state: SubsetState, j: int, data: Dataset) -> float:
     return max(state.rss - t_new * t_new, 0.0)
 
 
-def _extend_state(state: SubsetState, j: int, data: Dataset) -> SubsetState:
-    """Raw one-column extension (no drift-triggered refactorization)."""
+def update_add(state: SubsetState, j: int, data: Dataset) -> SubsetState:
+    """State for support + {j}: one Schur step appends a factor row, or a
+    pivot under the rank rule gives the dense-fallback state."""
     j = int(j)
     if j in state.support:
         raise DomainError(f"column {j} already in support")
@@ -187,7 +176,7 @@ def _extend_state(state: SubsetState, j: int, data: Dataset) -> SubsetState:
         return SubsetState(support, np.asarray(support, dtype=np.intp),
                            None, None, rss,
                            _log_weight(state.cfg, data.p, len(support), rss),
-                           0.0, state.cfg)
+                           state.cfg)
     w, sc, t_new = step
     rss = max(state.rss - t_new * t_new, 0.0)
 
@@ -196,83 +185,39 @@ def _extend_state(state: SubsetState, j: int, data: Dataset) -> SubsetState:
     chol[:s, :s] = state.chol
     chol[s, :s] = w
     chol[s, s] = math.sqrt(sc)
-    qty = np.append(state.qty, t_new)
-    order = np.append(state.order, j)
-
-    drift = state.drift + _EPS * (state.rss + t_new * t_new + data.col_sq[j] / sc)
+    qty = np.concatenate((state.qty, (t_new,)))
+    order = np.concatenate((state.order, (j,)))
     return SubsetState(support, order, chol, qty, rss,
-                       _log_weight(state.cfg, data.p, s + 1, rss),
-                       drift, state.cfg)
-
-
-def update_add(state: SubsetState, j: int, data: Dataset) -> SubsetState:
-    """State for support + {j}; equals the from-scratch state to ~1e-8."""
-    new = _extend_state(state, j, data)
-    if new.chol is not None and data.yty > 0 and \
-            new.drift > DRIFT_LIMIT * (new.rss + _EPS * data.yty):
-        return make_state(data, new.support, state.cfg)
-    return new
-
-
-def _rotate_out(chol, qty, k):
-    """Delete factorization row k and re-triangularize with Givens rotations.
-
-    Returns (chol', qty', tau) where tau is the discarded component, so the
-    RSS of the reduced support is rss + tau^2.
-    """
-    s = chol.shape[0]
-    M = np.delete(chol, k, axis=0)
-    t = qty.copy()
-    for r in range(k, s - 1):
-        a = M[r, r]
-        b = M[r, r + 1]
-        rho = math.hypot(a, b)
-        if rho == 0.0:
-            continue
-        c_, s_ = a / rho, b / rho
-        col_r = M[r:, r].copy()
-        col_r1 = M[r:, r + 1].copy()
-        M[r:, r] = c_ * col_r + s_ * col_r1
-        M[r:, r + 1] = c_ * col_r1 - s_ * col_r
-        tr, tr1 = t[r], t[r + 1]
-        t[r] = c_ * tr + s_ * tr1
-        t[r + 1] = c_ * tr1 - s_ * tr
-    return np.ascontiguousarray(M[:, : s - 1]), t[: s - 1], float(t[s - 1])
-
-
-def peek_rss_remove(state: SubsetState, j: int, data: Dataset) -> float:
-    """RSS of support - {j} without building the new state."""
-    if state.chol is None:
-        return residual_ss(data, tuple(v for v in state.support if v != j))
-    if state.size == 1:
-        return data.yty
-    k = int(np.nonzero(state.order == j)[0][0])
-    _, _, tau = _rotate_out(state.chol, state.qty, k)
-    return state.rss + tau * tau
+                       _log_weight(state.cfg, data.p, s + 1, rss), state.cfg)
 
 
 def update_remove(state: SubsetState, j: int, data: Dataset) -> SubsetState:
-    """State for support - {j}; refactorizes when accumulated drift is large."""
+    """State for support - {j}: keeps the factor rows before j (copied, so a
+    cached state never pins its parent's arrays) and re-appends the columns
+    after j with update_add.  A rank-deficient state is rebuilt, since
+    dropping a column can restore full rank."""
     j = int(j)
     if j not in state.support:
         raise DomainError(f"column {j} not in support")
-    support = tuple(v for v in state.support if v != j)
     if state.chol is None:
-        # Dropping a column can restore full rank, so rebuild from scratch.
-        return make_state(data, support, state.cfg)
-    if state.size == 1:
-        return empty_state(data, state.cfg)
+        return make_state(data, tuple(v for v in state.support if v != j),
+                          state.cfg)
     k = int(np.nonzero(state.order == j)[0][0])
-    chol, qty, tau = _rotate_out(state.chol, state.qty, k)
-    rss = state.rss + tau * tau
-    order = np.delete(state.order, k)
+    rss = data.yty
+    for t in state.qty[:k]:
+        rss = max(rss - t * t, 0.0)
+    prefix = state.order[:k].copy()
+    new = SubsetState(tuple(sorted(prefix.tolist())), prefix,
+                      state.chol[:k, :k].copy(), state.qty[:k].copy(), rss,
+                      _log_weight(state.cfg, data.p, k, rss), state.cfg)
+    for v in state.order[k + 1:]:
+        new = update_add(new, v, data)
+    return new
 
-    drift = state.drift + _EPS * (state.rss + tau * tau)
-    if data.yty > 0 and drift > DRIFT_LIMIT * (rss + _EPS * data.yty):
-        return make_state(data, support, state.cfg)
-    return SubsetState(support, order, chol, qty, rss,
-                       _log_weight(state.cfg, data.p, state.size - 1, rss),
-                       drift, state.cfg)
+
+def peek_rss_remove(state: SubsetState, j: int, data: Dataset) -> float:
+    """RSS of support - {j}: that of update_remove's state, to the bit."""
+    return update_remove(state, j, data).rss
 
 
 def _svd_fit(data: Dataset, supports: np.ndarray):

@@ -258,6 +258,16 @@ class TestExperimentCommand:
             rows = list(csv.DictReader(fh))
         assert {r["method"] for r in rows} == {"ew", "lasso"}
 
+    @pytest.mark.parametrize("line", ["max_support=0", "lasso_a=-1"])
+    def test_invalid_spec_value_exit_code(self, tmp_path, line):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("n=30\np=10\ns_star=2\nreps=2\nt0=20\nt=40\n"
+                        f"tune_reps=0\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["experiment", "--spec", str(spec),
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_bad_spec_exit_code(self, tmp_path):
         spec = tmp_path / "bad.spec"
         spec.write_text("nope\n")

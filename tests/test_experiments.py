@@ -241,3 +241,14 @@ class TestSpecParsing:
             ExperimentSpec(n=10, p=5, sparsity=9)
         with pytest.raises(DomainError):
             ExperimentSpec(n=10, p=5, sparsity=2, methods=("ridge",))
+
+    @pytest.mark.parametrize("bad", [{"max_support": 0}, {"max_support": -2},
+                                     {"lasso_a": -1.0}, {"lasso_a": 0.0},
+                                     {"lasso_a": math.inf},
+                                     {"lasso_a": math.nan},
+                                     {"lambda_kappa": math.inf},
+                                     {"threshold": math.nan}])
+    def test_rejects_out_of_range_values(self, bad):
+        # each would otherwise pass, then fail or empty every rep of a method
+        with pytest.raises(DomainError):
+            ExperimentSpec(n=10, p=5, sparsity=2, **bad)

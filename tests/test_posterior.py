@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from ewselect import (Dataset, DomainError, PosteriorConfig, TooLargeError,
                       least_squares_min_norm, log_posterior_unnorm, log_prior,
                       practical_lambda, prediction_lambda, residual_ss,
                       support_lambda)
-from ewselect.enumeration import subset_rank
+from ewselect.enumeration import _subset_fits, subset_index_array, subset_rank
 from ewselect.priors import NEG_INF
 
 from conftest import normalized_gaussian, planted_instance
@@ -194,6 +195,26 @@ class TestEnumeratePosterior:
         for subset, _, pr in table.entries():
             key = ";".join(str(v) for v in subset)
             assert by_subset[key] == pytest.approx(pr, rel=1e-15)
+
+    def test_memory_peak_is_the_fits(self, rng):
+        # weighting the fits in place adds no full-size copy after the walk;
+        # the Gram and the index arrays are built before either measurement
+        d = Dataset(rng.standard_normal((8, 40)), rng.standard_normal(8))
+        cfg = PosteriorConfig(lam=2.0, max_support=4, sigma2=1.0)
+        d.gram
+        for k in range(5):
+            subset_index_array(40, k)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                fn()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fits = peak(lambda: _subset_fits(d, 4))
+        assert peak(lambda: enumerate_posterior(d, cfg)) <= 1.05 * fits
 
     def test_subset_rank_agrees_with_enumeration_order(self, small_data):
         cfg = PosteriorConfig(lam=2.0, max_support=3, sigma2=1.0)

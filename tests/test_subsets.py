@@ -228,7 +228,7 @@ class TestIncrementalUpdates:
                                            rel=1e-8, abs=1e-10)
 
     def test_long_walk_stays_accurate(self, rng):
-        # exercises the drift bookkeeping over many updates
+        # hundreds of adds and re-appending removals stay on the batch RSS
         X = rng.standard_normal((25, 12))
         y = rng.standard_normal(25)
         d = Dataset(X, y)
@@ -269,8 +269,8 @@ class TestIncrementalUpdates:
         assert st.log_weight == pytest.approx(expect, rel=1e-12)
 
     def test_zero_response_never_refactorizes(self, rng, monkeypatch):
-        # with y = 0 every qty entry and every RSS is exactly 0, so the drift
-        # bound DRIFT_LIMIT * (rss + eps * y'y) must not force a rebuild
+        # with y = 0 every qty entry and every RSS is exactly 0; full-rank
+        # updates, removals included, never rebuild a state from scratch
         import ewselect.subsets as subsets
         calls = []
         real = subsets.make_state
@@ -343,6 +343,72 @@ class TestGramFreeStep:
         L = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.raises(np.linalg.LinAlgError):
             _tri_solve(L, np.ones(2))
+
+
+class TestExactStates:
+    """Every full-rank state is the Cholesky fold of update_add over its own
+    order, bit for bit, however the chain reached it."""
+
+    @staticmethod
+    def wide_design(rng):
+        X = rng.standard_normal((12, 30))
+        X[:, 7] = X[:, 3]                       # duplicated column
+        X[:, 12] = X[:, 3] - 2.0 * X[:, 5]      # dependent column
+        return Dataset(X, rng.standard_normal(12))
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_walk_states_equal_the_fold(self, rng, monkeypatch, wide):
+        import ewselect.subsets as subsets
+        calls = []
+        real = subsets.make_state
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(subsets, "make_state", counting)
+        d = (self.wide_design(rng) if wide else
+             Dataset(rng.standard_normal((25, 12)), rng.standard_normal(25)))
+        st = empty_state(d, CFG)
+        removals = deficient = 0
+        for _ in range(400):
+            if st.size and (rng.random() < 0.5 or st.size >= 9):
+                j = int(rng.choice(st.support))
+                before = len(calls)
+                rss = peek_rss_remove(st, j, d)
+                was_full = st.chol is not None
+                st = update_remove(st, j, d)
+                if was_full:
+                    removals += 1
+                    assert len(calls) == before
+            else:
+                j = int(rng.choice([k for k in range(d.p)
+                                    if k not in st.support]))
+                rss = peek_rss_add(st, j, d)
+                st = update_add(st, j, d)
+            assert rss == st.rss
+            if st.chol is None:
+                deficient += 1
+                continue
+            ref = empty_state(d, CFG)
+            for v in st.order:
+                ref = update_add(ref, v, d)
+            assert ref.support == st.support
+            assert np.array_equal(ref.chol, st.chol)
+            assert np.array_equal(ref.qty, st.qty)
+            assert ref.rss == st.rss
+            assert ref.log_weight == st.log_weight
+        assert removals > 100
+        assert (deficient > 0) == wide
+
+    def test_removal_copies_the_kept_rows(self, rng):
+        d = Dataset(rng.standard_normal((20, 6)), rng.standard_normal(20))
+        st = make_state(d, (0, 1, 2, 3), CFG)
+        for j in (0, 2, 3):
+            out = update_remove(st, j, d)
+            for name in ("order", "chol", "qty"):
+                assert not np.shares_memory(getattr(out, name),
+                                            getattr(st, name))
 
 
 class TestSplitProjectionBound:
