@@ -73,8 +73,9 @@ def read_dataset_csv(path, sigma=None, rescale=False):
     if table.shape[1] != len(header):
         raise DomainError(f"{path}: ragged rows")
     column = {name: i for i, name in enumerate(header)}
-    y = table[:, column["y"]]
+    y = table[:, column["y"]].copy()
     X = table[:, [column[name] for name in expected]]
+    del table  # Dataset copies X, so at most two copies are alive at once
     scales = None
     if rescale:
         X, scales = rescale_columns(X)
@@ -199,15 +200,23 @@ def build_parser() -> argparse.ArgumentParser:
                           "original units")
     fit.set_defaults(func=_cmd_fit)
 
-    lasso = sub.add_parser("lasso", help="one coordinate-descent lasso fit")
+    lasso = sub.add_parser(
+        "lasso", help="one lasso fit",
+        description="One lasso fit by coordinate descent. Once the active "
+                    "set's signs settle, its stationarity equations are "
+                    "solved exactly, and that solution is returned when the "
+                    "KKT conditions certify it.")
     lasso.add_argument("data")
     group = lasso.add_mutually_exclusive_group()
     group.add_argument("--lambda-l", type=float, default=None, dest="lambda_l")
     group.add_argument("--a", type=float, default=4.0,
                        help="multiplier in A*sigma*sqrt(log p / n)")
     lasso.add_argument("--sigma", type=float, default=None)
-    lasso.add_argument("--max-iter", type=int, default=100_000)
-    lasso.add_argument("--tol", type=float, default=1e-8)
+    lasso.add_argument("--max-iter", type=int, default=100_000,
+                       help="limit on coordinate-descent sweeps")
+    lasso.add_argument("--tol", type=float, default=1e-8,
+                       help="largest move of a converged sweep, unless an "
+                            "exact finish returns first")
     lasso.add_argument("--rescale", action="store_true")
     lasso.set_defaults(func=_cmd_lasso)
 

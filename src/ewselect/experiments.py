@@ -71,6 +71,10 @@ class ExperimentSpec:
             raise DomainError("max_support must be >= 1")
         if not (math.isfinite(self.lasso_a) and self.lasso_a > 0):
             raise DomainError("lasso_a must be finite and > 0")
+        if not all(math.isfinite(a) and a > 0 for a in self.lasso_a_grid):
+            raise DomainError("every lasso_a_grid entry must be finite and > 0")
+        if not math.isfinite(self.signal_scale):
+            raise DomainError("signal_scale must be finite")
 
 
 def generate_instance(spec: ExperimentSpec, rep_index: int):

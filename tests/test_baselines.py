@@ -10,6 +10,7 @@ from ewselect import (Dataset, DomainError, L0Config, LassoConfig,
                       irrepresentable_check, l0_select,
                       lasso_coordinate_descent, lasso_duality_gap,
                       lasso_kkt_violation, residual_ss)
+from ewselect import baselines
 from ewselect.baselines import lasso_objective
 
 from conftest import normalized_gaussian, planted_instance
@@ -165,6 +166,59 @@ class TestLasso:
                                                     tol=1e-16))
         assert err.value.gap is not None and err.value.gap >= 0
 
+    @pytest.mark.parametrize("a", [0.5, 1.0, 4.0])
+    def test_exact_finish_certifies_kkt(self, a):
+        # descent alone stops at tol and reads about 1e-9 here
+        data, _ = planted_instance(1, 100, 200, [1.0] * 5, sigma=0.75)
+        lam = default_lasso_penalty(data.sigma, 100, 200, a=a)
+        beta = lasso_coordinate_descent(data, LassoConfig(lam=lam))
+        assert np.count_nonzero(beta) >= 4
+        assert lasso_kkt_violation(data, beta, lam) <= 1e-12
+        assert abs(lasso_duality_gap(data, beta, lam)) <= 1e-12
+
+    @pytest.mark.parametrize("design", ["duplicate", "wide"])
+    def test_singular_active_set_falls_back_to_descent(self, rng, monkeypatch,
+                                                       design):
+        raised = []
+        solve = baselines._solve_spd
+
+        def spy(psi, rhs):
+            try:
+                return solve(psi, rhs)
+            except SingularError:
+                raised.append(len(rhs))
+                raise
+
+        monkeypatch.setattr(baselines, "_solve_spd", spy)
+        if design == "duplicate":
+            X = normalized_gaussian(rng, 60, 20)
+            X[:, 1] = X[:, 0]
+            y = X[:, :4] @ np.array([1.0, 1.0, -1.0, 0.5]) \
+                + 0.3 * rng.standard_normal(60)
+            lam = 0.05
+        else:
+            # p > n at a small penalty: descent passes through |A| > n
+            X = normalized_gaussian(rng, 20, 40)
+            y = rng.standard_normal(20)
+            lam = 0.1 * float(np.max(np.abs(X.T @ y))) / 20
+        d = Dataset(X, y)
+        tol = 1e-8
+        beta = lasso_coordinate_descent(d, LassoConfig(lam=lam, tol=tol))
+        assert raised
+        assert lasso_kkt_violation(d, beta, lam) <= 10 * tol
+
+    def test_lasso_never_builds_the_gram(self, no_gram):
+        data, _ = planted_instance(2, 100, 200, [1.0] * 5, sigma=0.75)
+        lam = default_lasso_penalty(data.sigma, 100, 200, a=0.5)
+        beta = lasso_coordinate_descent(data, LassoConfig(lam=lam))
+        assert lasso_kkt_violation(data, beta, lam) <= 1e-12
+
+    @pytest.mark.parametrize("sigma,a", [(1.0, math.nan), (1.0, math.inf),
+                                         (math.nan, 1.0), (math.inf, 1.0)])
+    def test_default_penalty_rejects_non_finite(self, sigma, a):
+        with pytest.raises(DomainError):
+            default_lasso_penalty(sigma, 100, 200, a=a)
+
     def test_default_penalty_rule(self):
         assert default_lasso_penalty(2.0, 100, 200, a=3.0) == pytest.approx(
             3.0 * 2.0 * math.sqrt(math.log(200) / 100), rel=1e-14)
@@ -258,5 +312,12 @@ class TestNoiseEstimate:
             L0Config(lam=-1.0, max_support=3)
         with pytest.raises(DomainError):
             LassoConfig(lam=-0.5)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_penalty_rejected(self, lam):
+        with pytest.raises(DomainError):
+            L0Config(lam=lam, max_support=3)
+        with pytest.raises(DomainError):
+            LassoConfig(lam=lam)
         with pytest.raises(DomainError):
             L0Config(lam=1.0, max_support=3, strategy="annealed")

@@ -94,6 +94,20 @@ class TestReadDataset:
         np.testing.assert_allclose(data.X * scales, X, rtol=1e-12)
 
 
+    def test_peak_memory_is_two_copies_of_x(self, tmp_path, rng):
+        import tracemalloc
+        X = rng.standard_normal((50, 2000))
+        path = tmp_path / "wide.csv"
+        write_dataset_csv(path, X, rng.standard_normal(50))
+        tracemalloc.start()
+        try:
+            data, _ = read_dataset_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.75 * data.X.nbytes
+
+
 BAD_FILES = [
     ("", DomainError, "empty file"),
     ("y,x1,x2\n", DomainError, "no data rows"),
@@ -203,6 +217,17 @@ class TestLassoCommand:
         assert "numerical failure" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flags", [["--lambda-l", "nan"],
+                                       ["--lambda-l", "inf"],
+                                       ["--sigma", "0.1", "--a", "nan"],
+                                       ["--sigma", "0.1", "--a", "inf"]])
+    def test_non_finite_penalty_exit_code(self, planted_csv, capsys, flags):
+        path = planted_csv[0]
+        assert main(["lasso", str(path)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+
+
 class TestDiagnoseCommand:
     def test_csv_rows(self, planted_csv, capsys):
         path = planted_csv[0]
@@ -266,6 +291,18 @@ class TestExperimentCommand:
         out = tmp_path / "o"
         assert main(["experiment", "--spec", str(spec),
                      "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["lasso_a_grid=-1,2", "lasso_a_grid=nan",
+                                      "signal_scale=nan"])
+    def test_invalid_spec_value_names_the_key(self, tmp_path, capsys, line):
+        spec = tmp_path / "bad.spec"
+        spec.write_text("n=30\np=10\ns_star=2\nreps=2\nt0=20\nt=40\n"
+                        f"methods=lasso\n{line}\n")
+        out = tmp_path / "o"
+        assert main(["experiment", "--spec", str(spec),
+                     "--out", str(out)]) == 2
+        assert line.split("=")[0] in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_spec_exit_code(self, tmp_path):

@@ -206,7 +206,8 @@ class TestEmit:
     def test_matches_golden_files(self, tmp_path):
         spec = tiny_spec()  # fixed-seed 3-rep run committed as golden output
         emit(run_experiment(spec), tmp_path)
-        for name in ("reps.csv", "summary.csv", "boxplot_linf.svg"):
+        for name in ("reps.csv", "summary.csv", "boxplot_linf.svg",
+                     "boxplot_fp.svg", "boxplot_l2.svg"):
             assert (tmp_path / name).read_bytes() == \
                 (GOLDEN / name).read_bytes(), f"golden mismatch: {name}"
 
@@ -252,3 +253,15 @@ class TestSpecParsing:
         # each would otherwise pass, then fail or empty every rep of a method
         with pytest.raises(DomainError):
             ExperimentSpec(n=10, p=5, sparsity=2, **bad)
+
+    @pytest.mark.parametrize("key,value", [("lasso_a_grid", (-1.0, 2.0)),
+                                           ("lasso_a_grid", (0.0,)),
+                                           ("lasso_a_grid", (math.nan,)),
+                                           ("lasso_a_grid", (1.0, math.inf)),
+                                           ("signal_scale", math.nan),
+                                           ("signal_scale", -math.inf)])
+    def test_rejects_bad_grid_or_signal_scale(self, key, value):
+        # tuning used to skip or fall back past a bad grid entry silently,
+        # and a non-finite scale surfaced later as a NaN in y
+        with pytest.raises(DomainError, match=key):
+            ExperimentSpec(n=10, p=5, sparsity=2, **{key: value})
