@@ -12,8 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .enumeration import (_subset_fits, check_cap, subset_count,
-                          subset_index_array)
+from .enumeration import _penalized_scan, check_cap, subset_count
 from .errors import DomainError, NotConvergedError, SingularError
 from .subsets import (EPS_RANK, _check_subset, _tri_solve,
                       least_squares_min_norm, residual_ss)
@@ -60,19 +59,19 @@ def default_lasso_penalty(sigma: float, n: int, p: int, a: float = 4.0) -> float
 
 
 def _exhaustive_l0(data: Dataset, cfg: L0Config):
+    """(support, criterion) of the global minimizer of rss(J) + lam |J|.
+
+    A branch-and-bound over the shared Cholesky walk (the leaps and bounds
+    of Furnival & Wilson, Technometrics 1974): the subtree below a node's
+    child P + c is skipped when rss(P + {c, ..., p-1}) + lam (|P| + 1),
+    a lower bound on every criterion in it, exceeds the best criterion so
+    far by more than 1e-9 y'y.  Criteria within that slack of the minimum
+    tie; ties go to the smaller, then lexicographically first, support.
+    The cap counts every subset up to max_support, pruned or not.
+    """
     s_max = min(cfg.max_support, data.p)
     check_cap(subset_count(data.p, s_max))
-    best_val = math.inf
-    best: tuple[int, ...] = ()
-    for s, (rss, _, _) in enumerate(_subset_fits(data, s_max, rss_only=True)):
-        i = int(np.argmin(rss))
-        val = float(rss[i]) + cfg.lam * s
-        # size-ascending scan with strict < keeps the sparser, then
-        # lexicographically smaller, of any exact ties
-        if val < best_val:
-            best_val = val
-            best = tuple(int(v) for v in subset_index_array(data.p, s)[i])
-    return best, best_val
+    return _penalized_scan(data, s_max, cfg.lam)
 
 
 def _greedy_l0(data: Dataset, score):
@@ -115,7 +114,10 @@ def _greedy_l0(data: Dataset, score):
 def l0_select(data: Dataset, cfg: L0Config):
     """Penalized subset selection; returns (support, refitted coefficients).
 
-    Exhaustive mode finds the global minimizer (ties: smaller support, then
+    Exhaustive mode finds the global minimizer by branch-and-bound on the
+    shared Cholesky walk, skipping every subtree whose RSS lower bound plus
+    penalty exceeds the best criterion so far by more than 1e-9 y'y
+    (criteria within that slack tie; ties: smaller support, then
     lexicographic); greedy mode adds the best column while the criterion
     strictly decreases and finishes with one backward-elimination sweep.
     """
@@ -143,9 +145,10 @@ def lasso_coordinate_descent(data: Dataset, cfg: LassoConfig) -> np.ndarray:
     sign flip or a violator) descent carries on, converged when no
     coordinate moves more than cfg.tol in a full sweep.
 
-    Raises NotConvergedError (with the final duality gap attached) after
-    cfg.max_iter sweeps.  Each update is an exact coordinate minimization
-    and a kept finish minimizes the objective over the active set, so the
+    Raises NotConvergedError (with the final duality gap and the number of
+    sweeps attached) after cfg.max_iter sweeps, full and active-set sweeps
+    counted alike.  Each update is an exact coordinate minimization and a
+    kept finish minimizes the objective over the active set, so the
     objective is nonincreasing across sweeps.
     """
     y, n, p = data.y, data.n, data.p
@@ -197,15 +200,18 @@ def lasso_coordinate_descent(data: Dataset, cfg: LassoConfig) -> np.ndarray:
     everything = range(p)
     # sign changes so far, and their count at the last exact finish
     flips, tried = 0, -1
-    for it in range(cfg.max_iter):
+    sweeps = 0   # full and active-set sweeps share the cfg.max_iter budget
+    while sweeps < cfg.max_iter:
         delta = sweep(everything)
+        sweeps += 1
         if delta <= cfg.tol:
             return beta
         # iterate the active set until stable, then re-check all coordinates
         active = np.flatnonzero(beta)
-        for _ in range(cfg.max_iter):
+        while sweeps < cfg.max_iter:
             before = flips
             delta = sweep(active)
+            sweeps += 1
             # the finish depends on the sign pattern alone: try it once per
             # pattern, after an active-set sweep that left the signs alone
             if before == flips != tried:
@@ -216,8 +222,8 @@ def lasso_coordinate_descent(data: Dataset, cfg: LassoConfig) -> np.ndarray:
                 break
     gap = lasso_duality_gap(data, beta, lam)
     raise NotConvergedError(
-        f"lasso did not converge in {cfg.max_iter} sweeps (duality gap {gap:.3e})",
-        gap=gap, iterations=cfg.max_iter,
+        f"lasso did not converge in {sweeps} sweeps (duality gap {gap:.3e})",
+        gap=gap, iterations=sweeps,
     )
 
 

@@ -213,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="multiplier in A*sigma*sqrt(log p / n)")
     lasso.add_argument("--sigma", type=float, default=None)
     lasso.add_argument("--max-iter", type=int, default=100_000,
-                       help="limit on coordinate-descent sweeps")
+                       help="limit on coordinate-descent sweeps, full and "
+                            "active-set sweeps counted alike")
     lasso.add_argument("--tol", type=float, default=1e-8,
                        help="largest move of a converged sweep, unless an "
                             "exact finish returns first")

@@ -5,6 +5,16 @@ array and cached.  Every exact scan runs on one prefix-sharing Cholesky walk
 (_cholesky_walk); carrying y as one more Gram column makes each node's last
 Schur entry its residual sum of squares (the leaps idea of Furnival &
 Wilson, Technometrics 1974), which fits every subset up to the cap.
+
+The penalized scan (_penalized_scan, exhaustive l0) is a branch-and-bound
+on that walk.  RSS cannot rise as columns are added, so the subtree of a
+node P's child P + c (its supersets within P + {c, ..., p-1}) scores at
+least rss(P + {c, ..., p-1}) + lam (|P| + 1).  One Cholesky factor of the
+bordered Gram in reverse column order (_suffix_factor) holds the Schur
+complement of every suffix {c, ..., p-1}, so each node reads the bound of
+every child from a |P| + 1 square block per child (_suffix_rss).  A child
+whose bound exceeds the best score so far by more than a slack of
+1e-9 y'y is skipped with its whole subtree.
 """
 
 from __future__ import annotations
@@ -146,7 +156,7 @@ def _completions(P: np.ndarray, j: int, p: int, t: int) -> np.ndarray:
 
 
 def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
-                   leaves: bool = False, factors: bool = True):
+                   leaves: bool = False, factors: bool = True, bound=None):
     """Prefix-sharing Cholesky factorizations of A[J, J] for every sorted
     subset J of range(q) with at most `depth` columns; columns q.. of the
     symmetric A are carried along, never branched on.
@@ -167,6 +177,12 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
     children that cannot reach that size are skipped, and the last rows
     cover all later columns, so rc[b, c, l] is the last pivot of the leaf
     P[b] + (f+c, f+l).
+
+    With `bound`, nodes are cut just before their children are formed:
+    bound(m, P) gives each node P of largest column m the number of
+    its children (a prefix of columns m+1..) to keep, and the other
+    children are never formed, so their subtrees are skipped.  Nodes that
+    keep the same number are batched together.
     """
     d = len(A)
     root = (np.empty((1, 0), np.intp), np.empty((1, 0, d)), np.diag(A)[None, :])
@@ -175,10 +191,8 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
         last = k == depth - 1
         kf = k + 1 if factors else 0   # size of the children's factors
         nxt = defaultdict(list)
-        for m, nodes in level.items():
-            qc = q - 1 - m - (depth - k if leaves else 0)
-            if qc <= 0:
-                continue
+        for m, qc, nodes in _node_groups(
+                level, q - (depth - k if leaves else 0), bound):
             carried = last and not leaves   # rows cover columns q.. only
             # numpy multiplies a one-row or one-column block as a
             # matrix-vector product, whose bits change when it is cut.  So
@@ -225,6 +239,23 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
                  for j, parts in nxt.items()}
 
 
+def _node_groups(level, end: int, bound):
+    """(m, qc, nodes) for each group of the level's nodes that share their
+    largest column m and the number qc of children to form: columns
+    m+1..end-1, or the prefix of them that `bound` keeps.  Lazy, so each
+    bound sees every batch the walk yielded before it."""
+    for m, nodes in level.items():
+        qc = end - 1 - m
+        if qc <= 0:
+            continue
+        if bound is None:
+            yield m, qc, nodes
+            continue
+        keep = bound(m, nodes[0])
+        for kc in np.unique(keep[keep > 0]).tolist():
+            yield m, kc, tuple(a[keep == kc] for a in nodes)
+
+
 def _back_substitute(L: np.ndarray, z: np.ndarray) -> np.ndarray:
     """x with L' x = z for stacks of lower-triangular L (m, k, k), z (m, k)."""
     x = np.empty_like(z)
@@ -235,47 +266,163 @@ def _back_substitute(L: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x
 
 
-def _subset_fits(data, s_max: int, rss_only: bool = False):
+def _bordered_gram(data) -> np.ndarray:
+    """[[G, X'y], [y'X, y'y]]; on the walk, a node's carried Schur entry is
+    its residual sum of squares and its carried column of W is L^-1 X_J'y."""
+    return np.block([[data.gram, data.xty[:, None]],
+                     [data.xty[None, :], np.array([[data.yty]])]])
+
+
+def _svd_fits(data, rows: np.ndarray):
+    """subsets._svd_fit (coefficients, rss) of a stack of same-size rows,
+    in chunks of at most _SCREEN_ELEMS design entries."""
+    coef, rss = np.empty(rows.shape), np.empty(len(rows))
+    step = max(_SCREEN_ELEMS // (data.n * rows.shape[1]), 1)
+    for i in range(0, len(rows), step):
+        coef[i:i + step], rss[i:i + step] = _svd_fit(data, rows[i:i + step])
+    return coef, rss
+
+
+def _subset_fits(data, s_max: int):
     """Least-squares fit of every subset with at most s_max columns: one
     (rss, beta, full_rank) triple per size k, rows in subset_index_array
-    order, beta one coefficient per column of the row (None with
-    `rss_only`, which builds no factors and solves for no beta).
+    order, beta one coefficient per column of the row.
 
-    The walk runs on [[G, X'y], [y'X, y'y]], so a node's carried Schur entry
-    is its RSS and its carried column of W is z, with beta = L'^-1 z.  A
+    The walk runs on the bordered Gram, so a node's carried Schur entry is
+    its RSS and its carried column of W is z, with beta = L'^-1 z.  A
     pivot <= EPS_RANK * n fails (the chain's subsets._schur_step rule); that
     subset and its completions get the dense fit of subsets._svd_fit.
     """
     p = data.p
-    A = np.block([[data.gram, data.xty[:, None]],
-                  [data.xty[None, :], np.array([[data.yty]])]])
-    fits = [(np.empty(math.comb(p, k)),
-             None if rss_only else np.empty((math.comb(p, k), k)),
+    fits = [(np.empty(math.comb(p, k)), np.empty((math.comb(p, k), k)),
              np.ones(math.comb(p, k), dtype=bool)) for k in range(s_max + 1)]
     fits[0][0][:] = data.yty
     failed = [[] for _ in range(s_max + 1)]
     for P, f, W, ok, w, rc, Lc in _cholesky_walk(
-            A, p, s_max, EPS_RANK * data.n, factors=not rss_only):
+            _bordered_gram(data), p, s_max, EPS_RANK * data.n):
         k = P.shape[1] + 1
         rss, beta, _ = fits[k]
         b, c = np.nonzero(ok)
         at = subset_rank(np.column_stack([P[b], f + c]), p)
         rss[at] = np.maximum(rc[b, c, -1], 0.0)
-        if not rss_only:
-            beta[at] = _back_substitute(
-                Lc[b, c], np.column_stack([W[b, :, -1], w[b, c, -1]]))
+        beta[at] = _back_substitute(
+            Lc[b, c], np.column_stack([W[b, :, -1], w[b, c, -1]]))
         for j in np.flatnonzero(~ok.all(axis=0)):
             for t in range(s_max - k + 1):
                 failed[k + t].append(_completions(P[~ok[:, j]], f + j, p, t))
     for (rss, beta, full), parts in zip(fits, failed):
-        if not parts:
-            continue
-        rows = np.concatenate(parts)
-        at = subset_rank(rows, p)
-        full[at] = False
-        step = max(_SCREEN_ELEMS // (data.n * rows.shape[1]), 1)
-        for i in range(0, len(rows), step):
-            coef, rss[at[i:i + step]] = _svd_fit(data, rows[i:i + step])
-            if not rss_only:
-                beta[at[i:i + step]] = coef
+        if parts:
+            rows = np.concatenate(parts)
+            at = subset_rank(rows, p)
+            full[at] = False
+            beta[at], rss[at] = _svd_fits(data, rows)
     return fits
+
+
+def _suffix_factor(A: np.ndarray, q: int, tol: float):
+    """(U, live) from the Cholesky factor of A with columns q-1, ..., 0
+    eliminated in that order (carried columns q.. last): U[c] is the
+    elimination step of column c over all columns of A, so A's Schur
+    complement after eliminating q-1, ..., c is A - sum_{i >= c} U[i]'U[i]
+    on the remaining columns.  live[c] holds while every pivot down to
+    column c is above tol; a failed column gets a zero row."""
+    d = len(A)
+    order = np.r_[q - 1 : -1 : -1, q:d]
+    S = A[order[:, None], order]
+    U = np.zeros((q, d))
+    ok = np.empty(q, dtype=bool)
+    for i, c in enumerate(order[:q]):
+        ok[c] = S[i, i] > tol
+        if ok[c]:
+            u = S[i:, i] / math.sqrt(S[i, i])
+            S[i:, i:] -= np.outer(u, u)
+            U[c, order[i:]] = u
+    return U, np.logical_and.accumulate(ok[::-1])[::-1]
+
+
+def _suffix_rss(A, U, live, P: np.ndarray, m: int, tol: float):
+    """rss(P + {c, ..., q-1}) for each row P of a walk node group (largest
+    column m) and each child column c = m+1..q-1, from _suffix_factor of
+    the bordered Gram A (y last), or -inf where no bound is read.
+
+    Given the suffix, P and y keep the Schur block A[J, J] minus the
+    suffix's rows U[c:, J]'U[c:, J] (J = P + y), and y's Schur entry in it,
+    after eliminating P, is the RSS.  Once a pivot falls to tol or below,
+    that child and every child before it get -inf.
+    """
+    k = P.shape[1]
+    c = np.arange(m + 1, len(U))
+    J = np.column_stack([P, np.full(len(P), len(A) - 1)])
+    out = []
+    step = max(_SCREEN_ELEMS // (len(c) * (k + 1) ** 2), 1)
+    for i in range(0, len(P), step):
+        Ji = J[i : i + step]
+        UJ = U[c[None, :, None], Ji[:, None, :]]
+        # suffix sums over c..q-1 of the rows' outer products
+        M = np.cumsum((UJ[..., :, None] * UJ[..., None, :])[:, ::-1],
+                      axis=1)[:, ::-1]
+        M = A[Ji[:, None, :, None], Ji[:, None, None, :]] - M
+        ok = np.repeat(live[None, m + 1 :], len(Ji), axis=0)
+        for j in range(k):
+            piv = M[:, :, j, j]
+            ok &= piv > tol
+            with np.errstate(over="ignore", invalid="ignore"):
+                l = (M[:, :, j + 1 :, j]
+                     / np.sqrt(np.where(ok, piv, 1.0))[..., None])
+                M[:, :, j + 1 :, j + 1 :] -= l[..., :, None] * l[..., None, :]
+        ok = np.logical_and.accumulate(ok[:, ::-1], axis=1)[:, ::-1]
+        out.append(np.where(ok, M[:, :, k, k], -np.inf))
+    return np.concatenate(out)
+
+
+def _penalized_scan(data, s_max: int, lam: float):
+    """(support, score) minimizing rss(J) + lam |J| over |J| <= s_max, by
+    the branch-and-bound of the module docstring on the walk without
+    factors.  Scores within the slack of the minimum tie, and ties go to
+    the smaller, then lexicographically first, support.  Children whose
+    pivot fails get the dense subsets._svd_fit of themselves and all their
+    completions.
+
+    Nodes of size s_max - 1 are not bounded: their children are leaves,
+    whose carried-row fits cost less than the bound.  So with s_max <= 2
+    only the root would be, and the O(p^3) reverse factor that the bounds
+    read would cost more than the whole scan; nothing is bounded then.
+    """
+    p = data.p
+    A = _bordered_gram(data)
+    tol = EPS_RANK * data.n
+    slack = 1e-9 * data.yty
+    best = data.yty
+    ties = [(data.yty, ())]   # (score, support) within the slack of best
+
+    def offer(rows, score):
+        nonlocal best, ties
+        best = min(best, float(np.min(score, initial=math.inf)))
+        ties = [t for t in ties if t[0] <= best + slack]
+        for i in np.flatnonzero(score <= best + slack):
+            ties.append((float(score[i]), tuple(int(v) for v in rows[i])))
+
+    bound = None
+    if s_max >= 3:
+        U, live = _suffix_factor(A, p, tol)
+
+        def bound(m, P):
+            if P.shape[1] == s_max - 1:
+                return np.full(len(P), p - 1 - m)
+            lb = _suffix_rss(A, U, live, P, m, tol) + lam * (P.shape[1] + 1)
+            cut = (lb > best + slack)[:, ::-1]
+            return np.where(cut.all(axis=1), 0,
+                            lb.shape[1] - cut.argmin(axis=1))
+
+    for P, f, _, ok, _, rc, _ in _cholesky_walk(
+            A, p, s_max, tol, factors=False, bound=bound):
+        k = P.shape[1] + 1
+        b, c = np.nonzero(ok)
+        offer(np.column_stack([P[b], f + c]),
+              np.maximum(rc[b, c, -1], 0.0) + lam * k)
+        for j in np.flatnonzero(~ok.all(axis=0)):
+            for t in range(s_max - k + 1):
+                rows = _completions(P[~ok[:, j]], f + j, p, t)
+                offer(rows, _svd_fits(data, rows)[1] + lam * (k + t))
+    score, support = min(ties, key=lambda t: (len(t[1]), t[1]))
+    return support, score

@@ -1,9 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from ewselect import Dataset
+from ewselect import Dataset, baselines
 
 
 def normalized_gaussian(rng, n, p):
@@ -41,3 +42,31 @@ def no_gram(monkeypatch):
     def refuse(self):
         raise AssertionError("the p x p Gram matrix was built")
     monkeypatch.setattr(Dataset, "gram", property(refuse))
+
+
+@pytest.fixture
+def lasso_sweeps():
+    """A one-item list counting the coordinate-descent sweeps (full and
+    active-set) that lasso_coordinate_descent runs while the test runs."""
+    count = [0]
+
+    def profile(frame, event, arg):
+        code = frame.f_code
+        if (event == "call" and code.co_name == "sweep"
+                and code.co_filename == baselines.__file__):
+            count[0] += 1
+    sys.setprofile(profile)
+    try:
+        yield count
+    finally:
+        sys.setprofile(None)
+
+
+def duplicated_column_lasso(rng):
+    """(60, 20) design whose column 7 repeats column 3, with a response on
+    the first ten columns: at lam 0.05 both copies stay active, so descent
+    never meets tol 1e-300 and the exact finish meets a singular system."""
+    X = normalized_gaussian(rng, 60, 20)
+    X[:, 7] = X[:, 3]
+    y = X[:, :10] @ rng.standard_normal(10) + rng.standard_normal(60)
+    return X, y

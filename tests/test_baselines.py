@@ -13,7 +13,8 @@ from ewselect import (Dataset, DomainError, L0Config, LassoConfig,
 from ewselect import baselines
 from ewselect.baselines import lasso_objective
 
-from conftest import normalized_gaussian, planted_instance
+from conftest import (duplicated_column_lasso, normalized_gaussian,
+                      planted_instance)
 
 
 def brute_force_l0(data, lam, s_max):
@@ -165,6 +166,15 @@ class TestLasso:
             lasso_coordinate_descent(d, LassoConfig(lam=1e-6, max_iter=1,
                                                     tol=1e-16))
         assert err.value.gap is not None and err.value.gap >= 0
+
+    def test_one_sweep_budget(self, rng, lasso_sweeps):
+        # full and active-set sweeps draw on the same max_iter budget
+        d = Dataset(*duplicated_column_lasso(rng))
+        with pytest.raises(NotConvergedError) as err:
+            lasso_coordinate_descent(d, LassoConfig(lam=0.05, max_iter=5,
+                                                    tol=1e-300))
+        assert lasso_sweeps[0] == err.value.iterations == 5
+        assert "in 5 sweeps" in str(err.value)
 
     @pytest.mark.parametrize("a", [0.5, 1.0, 4.0])
     def test_exact_finish_certifies_kkt(self, a):

@@ -9,7 +9,7 @@ import pytest
 from ewselect.cli import main, read_dataset_csv
 from ewselect.errors import DomainError, NonFiniteError
 
-from conftest import normalized_gaussian
+from conftest import duplicated_column_lasso, normalized_gaussian
 
 
 def write_dataset_csv(path, X, y):
@@ -216,6 +216,16 @@ class TestLassoCommand:
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
 
+
+    def test_max_iter_bounds_every_sweep(self, tmp_path, rng, capsys,
+                                         lasso_sweeps):
+        path = tmp_path / "dup.csv"
+        write_dataset_csv(path, *duplicated_column_lasso(rng))
+        code = main(["lasso", str(path), "--lambda-l", "0.05",
+                     "--max-iter", "5", "--tol", "1e-300"])
+        assert code == 3
+        assert lasso_sweeps[0] == 5
+        assert "in 5 sweeps" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flags", [["--lambda-l", "nan"],
                                        ["--lambda-l", "inf"],

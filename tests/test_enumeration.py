@@ -7,11 +7,16 @@ from ewselect import (DomainError, Dataset, L0Config, PosteriorConfig,
                       enumerate_posterior, exact_estimators, l0_select,
                       make_state, max_restricted_singular,
                       min_restricted_singular)
+from ewselect.baselines import _exhaustive_l0
 import ewselect.diagnostics as diagnostics
 import ewselect.enumeration as enumeration
 from ewselect.enumeration import (_subset_fits, gather_gram,
-                                  subset_index_array, subset_rank)
+                                  subset_count, subset_index_array,
+                                  subset_rank)
+from ewselect.priors import practical_lambda
 from ewselect.subsets import least_squares_min_norm, residual_ss
+
+from conftest import planted_instance
 
 
 def designs(rng):
@@ -66,12 +71,7 @@ class TestBatchedRss:
                     raise AssertionError("exhaustive l0 solved for beta")
                 mp.setattr(enumeration, "_back_substitute", refuse)
                 support, _ = l0_select(d, cfg)
-                rows = _subset_fits(d, 4, rss_only=True)
             assert support == expected
-            for (rss, beta, ok), (rss0, _, ok0) in zip(rows, full):
-                assert beta is None
-                np.testing.assert_array_equal(rss, rss0)
-                np.testing.assert_array_equal(ok, ok0)
 
     def test_batches_are_bounded_by_child_entries(self, rng, monkeypatch):
         X = rng.standard_normal((30, 100))
@@ -104,6 +104,72 @@ class TestBatchedRss:
         blocks = gather_gram(small_data.gram, subs)
         for J, GJ in zip(subs, blocks):
             np.testing.assert_array_equal(GJ, small_data.gram[np.ix_(J, J)])
+
+
+def l0_oracle(d, lam, s_max):
+    """(support, criterion) by itertools and residual_ss: the sparsest, then
+    lexicographically first, support within 1e-9 y'y of the minimum."""
+    crit = {J: residual_ss(d, J) + lam * len(J)
+            for s in range(s_max + 1) for J in combinations(range(d.p), s)}
+    best = min(crit.values())
+    J = min((J for J, v in crit.items() if v <= best + 1e-9 * d.yty),
+            key=lambda J: (len(J), J))
+    return J, crit[J]
+
+
+class TestBranchAndBound:
+    """Exhaustive l0 prunes the walk and still finds the oracle's support."""
+
+    def cases(self, rng):
+        X = rng.standard_normal((20, 8))
+        d = Dataset(X, X[:, [1, 4]] @ [1.0, -1.5]
+                    + 0.5 * rng.standard_normal(20))
+        yield "gaussian", d, 4
+        yield "unbounded", d, 2      # too shallow to bound
+        X = rng.standard_normal((20, 8))
+        X[:, 5] = X[:, 2]    # supports with 2 tie exactly with those with 5
+        yield "duplicate", Dataset(X, X[:, [2, 6]] @ [1.5, 1.0]
+                                   + 0.5 * rng.standard_normal(20)), 4
+        X = rng.standard_normal((20, 8))
+        X[:, 6] = X[:, 0] - 2.0 * X[:, 3]    # dependent: the SVD path
+        yield "dependent", Dataset(X, X[:, [0, 3, 7]] @ [1.0, 1.0, -1.0]
+                                   + 0.5 * rng.standard_normal(20)), 4
+        X = rng.standard_normal((4, 8))      # n < max_support
+        yield "short", Dataset(X, rng.standard_normal(4)), 6
+        X = rng.standard_normal((20, 8))     # max_support = p
+        yield "full", Dataset(X, X[:, [0, 7]] @ [1.0, 1.0]
+                              + 0.5 * rng.standard_normal(20)), 8
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 2 * 0.25 * 4 * np.log(8),
+                                     1e6])
+    def test_matches_itertools_oracle(self, rng, lam):
+        for name, d, s_max in self.cases(rng):
+            cfg = L0Config(lam=lam, max_support=s_max)
+            want, want_val = l0_oracle(d, lam, s_max)
+            support, val = _exhaustive_l0(d, cfg)
+            assert support == want, name
+            assert val == pytest.approx(want_val, abs=1e-9 * d.yty), name
+            sup, beta = l0_select(d, cfg)
+            assert sup == want
+            np.testing.assert_array_equal(beta,
+                                          least_squares_min_norm(d, want))
+            if name == "duplicate" and lam == 0.1:
+                assert 2 in support and 5 not in support
+
+    def test_prunes_almost_every_subset(self, monkeypatch):
+        d, _ = planted_instance(11, 100, 20, [1.0, 1.0, 1.0], sigma=0.5)
+        cfg = L0Config(lam=2 * 0.25 * practical_lambda(20), max_support=7)
+        walk, fitted = enumeration._cholesky_walk, [0]
+
+        def counting(*args, **kwargs):
+            for batch in walk(*args, **kwargs):
+                fitted[0] += batch[3].size    # every child the batch forms
+                yield batch
+        monkeypatch.setattr(enumeration, "_cholesky_walk", counting)
+        support, _ = l0_select(d, cfg)
+        assert support == (0, 1, 2)
+        assert subset_count(20, 7) == 137_980
+        assert 0 < fitted[0] <= 0.01 * 137_980
 
 
 class TestEnumerationMeans:
