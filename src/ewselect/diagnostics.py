@@ -30,7 +30,7 @@ from .data import Dataset
 from .enumeration import (_cholesky_walk, _completions, check_cap,
                           gather_gram, subset_index_array)
 from .errors import DomainError, TooLargeError
-from .subsets import EPS_RANK
+from .subsets import EPS_RANK, _check_subset
 
 _PRUNE_SAMPLE = 4096
 SCAN_CHUNK = 200_000   # subsets per batched eigvalsh (bounds peak memory)
@@ -205,11 +205,9 @@ def max_restricted_singular(data: Dataset, s: int, mode: str = "exact",
 
 def subset_min_singular(data: Dataset, J) -> float:
     """Smallest singular value of X_J / sqrt(n) for one subset."""
-    idx = np.asarray(sorted(int(v) for v in J), dtype=np.intp)
+    idx = np.asarray(_check_subset(J, data.p), dtype=np.intp)
     if len(idx) == 0:
         raise DomainError("subset must be nonempty")
-    if idx[0] < 0 or idx[-1] >= data.p or len(set(idx.tolist())) != len(idx):
-        raise DomainError(f"bad subset {tuple(J)}")
     svals = np.linalg.svd(data.X[:, idx] / math.sqrt(data.n), compute_uv=False)
     return float(svals[-1]) if len(idx) <= data.n else 0.0
 

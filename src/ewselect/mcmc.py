@@ -3,10 +3,12 @@
 One kernel, _walk, serves run_chain and mh_step.  It mixes two symmetric
 proposals: flip (toggle one uniformly chosen coordinate) and swap (exchange
 a uniform member for a uniform non-member, drawn by rejection), so
-acceptance reduces to the posterior ratio that the subset states already
-maintain.  The kernel memoizes per-support log-weights and states keyed by
-bitmask; memoization only caches deterministic quantities, so the sampled
-law is identical to the plain kernel.
+acceptance reduces to the posterior ratio.  The kernel weighs a support as
+log prior(|J|) - rss / (2 sigma^2) from the RSS its subset state holds, and
+memoizes log-weights and states keyed by bitmask; a remove flip's candidate
+is a swap's intermediate, so both read one memoized removal.  Memoization
+only caches deterministic quantities, so the sampled law is identical to
+the plain kernel.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ import numpy as np
 from .data import Dataset
 from .errors import DomainError
 from .priors import PosteriorConfig, log_prior_table
-from .subsets import (SubsetState, make_state, peek_rss_add, peek_rss_remove,
-                      least_squares_min_norm, update_add, update_remove,
-                      _check_subset)
+from .subsets import (SubsetState, _check_subset, least_squares_min_norm,
+                      make_state, peek_rss_add, update_add, update_remove)
 
 VISIT_CAP = 100_000        # most distinct supports kept in the histogram
 LOGW_CACHE_CAP = 200_000   # memoized per-support log-weights
@@ -115,9 +116,10 @@ def map_refit(acc: ChainAccumulators, data: Dataset):
     return acc.best_support, least_squares_min_norm(data, acc.best_support)
 
 
-def mh_step(state: SubsetState, data: Dataset, rng,
+def mh_step(state: SubsetState, data: Dataset, pcfg: PosteriorConfig, rng,
             move_mix: tuple[float, float] = (0.5, 0.5)) -> SubsetState:
-    """One step of run_chain's kernel; returns the new state (same object if rejected).
+    """One step of run_chain's kernel for the posterior `pcfg`; returns the
+    new state (same object if rejected).
 
     Both proposals are symmetric, so the acceptance probability is
     min(1, exp(delta log-weight)); a flip that would exceed the support cap
@@ -125,7 +127,7 @@ def mh_step(state: SubsetState, data: Dataset, rng,
     so it consumes `rng` differently from run_chain's blocked draws, with
     the same transition law.
     """
-    return _walk(data, state.cfg, state, 1, 0, move_mix, rng, 1, None)[0]
+    return _walk(data, pcfg, state, 1, 0, move_mix, rng, 1, None)[0]
 
 
 def _initial_support(data: Dataset, pcfg: PosteriorConfig, init) -> tuple[int, ...]:
@@ -154,20 +156,16 @@ def _state_cache_cap(sbar: int) -> int:
     return max(256, min(100_000, STATE_CACHE_BYTES // per_state))
 
 
-def _swap_intermediate(state: SubsetState, j: int, inter_mask: int,
-                       data: Dataset, states: dict, state_cap: int,
-                       logws: dict | None) -> SubsetState:
-    """Memoized state for support - {j} on a swap; a newly built one's
-    log-weight is memoized too when `logws` is given (the evaluation path)."""
-    inter = states.get(inter_mask)
-    if inter is None:
-        inter = update_remove(state, j, data)
+def _removal(state: SubsetState, j: int, rm_mask: int, data: Dataset,
+             states: dict, state_cap: int) -> SubsetState:
+    """Memoized state for support - {j}: a remove flip's candidate, or a
+    swap's intermediate."""
+    out = states.get(rm_mask)
+    if out is None:
+        out = update_remove(state, j, data)
         if len(states) < state_cap:
-            states[inter_mask] = inter
-        if logws is not None and inter_mask not in logws and \
-                len(logws) < LOGW_CACHE_CAP:
-            logws[inter_mask] = inter.log_weight
-    return inter
+            states[rm_mask] = out
+    return out
 
 
 def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
@@ -185,7 +183,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     mask = 0
     for j in state.support:
         mask |= 1 << j
-    lw_cur = state.log_weight
+    lw_cur = float(lp[state.size]) - state.rss / twos2
 
     logws = {mask: lw_cur}
     states = {mask: state}
@@ -231,7 +229,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
             jbit = 1 << j
             if mask & jbit:
                 kind = 1
-                cand_mask = mask ^ jbit
+                rm_mask = cand_mask = mask ^ jbit
                 cand_size = size - 1
             elif size < sbar:
                 kind = 0
@@ -248,8 +246,8 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
                 pool_i += 1
                 if not (mask >> k) & 1:
                     break
-            inter_mask = mask ^ (1 << j)
-            cand_mask = inter_mask | (1 << k)
+            rm_mask = mask ^ (1 << j)
+            cand_mask = rm_mask | (1 << k)
             cand_size = size
 
         acc_flag = False
@@ -259,12 +257,11 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
             if lw_c is None:
                 if kind == 0:
                     rss_c = peek_rss_add(state, j, data)
-                elif kind == 1:
-                    rss_c = peek_rss_remove(state, j, data)
                 else:
-                    inter = _swap_intermediate(state, j, inter_mask, data,
-                                               states, state_cap, logws)
-                    rss_c = peek_rss_add(inter, k, data)
+                    inter = _removal(state, j, rm_mask, data, states,
+                                     state_cap)
+                    rss_c = inter.rss if kind == 1 else \
+                        peek_rss_add(inter, k, data)
                 lw_c = float(lp[cand_size]) - rss_c / twos2
                 if len(logws) < LOGW_CACHE_CAP:
                     logws[cand_mask] = lw_c
@@ -275,14 +272,12 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
                 if new_state is None:
                     if kind == 0:
                         new_state = update_add(state, j, data)
-                    elif kind == 1:
-                        new_state = update_remove(state, j, data)
                     else:
                         if inter is None:
-                            inter = _swap_intermediate(state, j, inter_mask,
-                                                       data, states, state_cap,
-                                                       None)
-                        new_state = update_add(inter, k, data)
+                            inter = _removal(state, j, rm_mask, data, states,
+                                             state_cap)
+                        new_state = inter if kind == 1 else \
+                            update_add(inter, k, data)
                     if len(states) < state_cap:
                         states[cand_mask] = new_state
                 if t >= burn:
@@ -344,7 +339,7 @@ def run_chain(data: Dataset, pcfg: PosteriorConfig,
     seeds = np.random.SeedSequence(ccfg.seed).spawn(ccfg.chains)
     trace_rows = [] if ccfg.trace_path is not None else None
     start = _initial_support(data, pcfg, ccfg.init)
-    parts = [_walk(data, pcfg, make_state(data, start, pcfg), ccfg.burn_in,
+    parts = [_walk(data, pcfg, make_state(data, start), ccfg.burn_in,
                    ccfg.samples, ccfg.move_mix, np.random.default_rng(s),
                    _BLOCK, trace_rows)[1]
              for s in seeds]

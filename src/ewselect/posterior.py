@@ -43,9 +43,10 @@ class PosteriorTable:
     mean_beta is the posterior mean of the minimum-norm fits;
     restricted_mean_beta keeps only the full-rank supports, with their
     original weights (a sub-probability average, not a renormalized one).
-    Full rank is the chain's Schur-pivot rule: every Cholesky pivot of
-    X_J'X_J, in sorted column order, above EPS_RANK * n, as for
-    SubsetState.full_rank.
+    Full rank is the Schur-pivot rule: every Cholesky pivot of X_J'X_J, in
+    sorted column order, above EPS_RANK * n, as for
+    make_state(data, J).full_rank (a chain state reached in another
+    insertion order can differ at the margin).
     """
 
     p: int

@@ -1,11 +1,14 @@
 """Incremental least-squares machinery over column subsets.
 
-A SubsetState caches the Cholesky factor of X_J'X_J in insertion `order`.
-Every full-rank state is, bit for bit, the fold of update_add's Schur step
-over its `order`: an add appends one row, and a removal re-appends the
-columns after the removed one in O(n |J|^2), so no update error builds up.
-Rank-deficient supports (Schur pivot rule) fall back to dense minimum-norm
-evaluation, so every subset of columns is a valid state.
+A SubsetState is the least-squares fit on one support J: the Cholesky
+factor of X_J'X_J in insertion `order`, the RSS, and whether X_J has full
+column rank.  Every full-rank state is, bit for bit, the fold of update_add's
+Schur step over its `order`: an add appends one row, and a removal re-appends
+the columns after the removed one in O(n |J|^2), so no update error builds
+up.  Rank-deficient supports (Schur pivot rule) fall back to dense
+minimum-norm evaluation, so every subset of columns is a valid state.  The
+chain, the MAP refit and the l0 refit all read these states; the prior
+weight of a support is the caller's business.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from scipy.linalg.lapack import dtrtrs
 
 from .data import Dataset
 from .errors import DomainError
-from .priors import PosteriorConfig, log_prior_table
 
 # Pivot is treated as rank-deficient when its Schur complement (a squared
 # length) falls at or below EPS_RANK * n; shared across modules.
@@ -50,7 +52,7 @@ def _check_subset(J, p) -> tuple[int, ...]:
 
 
 class SubsetState:
-    """One support with its cached factorization and posterior log-weight.
+    """One support with its cached factorization and least-squares fit.
 
     Attributes
     ----------
@@ -65,21 +67,16 @@ class SubsetState:
         chol^{-1} X_J' y, so that rss = y'y - ||qty||^2.
     rss : float
         Residual sum of squares of the least-squares fit on the support.
-    log_weight : float
-        log prior(|J|) - rss / (2 sigma^2), up to the shared normalizer.
     """
 
-    __slots__ = ("support", "order", "chol", "qty", "rss", "log_weight",
-                 "cfg", "_beta")
+    __slots__ = ("support", "order", "chol", "qty", "rss", "_beta")
 
-    def __init__(self, support, order, chol, qty, rss, log_weight, cfg):
+    def __init__(self, support, order, chol, qty, rss):
         self.support = support
         self.order = order
         self.chol = chol
         self.qty = qty
         self.rss = rss
-        self.log_weight = log_weight
-        self.cfg = cfg
         self._beta = None
 
     @property
@@ -91,7 +88,9 @@ class SubsetState:
         return self.chol is not None or self.size == 0
 
     def beta_sparse(self, data: Dataset):
-        """Least-squares coefficients as (indices, values), cached."""
+        """Least-squares coefficients as (indices, values), cached: the
+        triangular solves on the factor, or the minimum-norm SVD fit when
+        the support is rank-deficient."""
         if self._beta is None:
             if self.size == 0:
                 idx = np.empty(0, dtype=np.intp)
@@ -100,35 +99,31 @@ class SubsetState:
                 val = _tri_solve(self.chol, self.qty, trans=1)
                 idx = self.order
             else:
-                dense = least_squares_min_norm(data, self.support)
                 idx = np.asarray(self.support, dtype=np.intp)
-                val = dense[idx]
+                val = _svd_fit(data, idx[None])[0][0]
             self._beta = (idx, val)
         return self._beta
 
     def __repr__(self):
         return (f"SubsetState(J={self.support}, rss={self.rss:.6g}, "
-                f"log_weight={self.log_weight:.6g}, full_rank={self.full_rank})")
+                f"full_rank={self.full_rank})")
 
 
-def _log_weight(cfg: PosteriorConfig, p: int, size: int, rss: float) -> float:
-    lp = log_prior_table(p, cfg)
-    return float(lp[size] - rss / (2.0 * cfg.sigma2))
-
-
-def empty_state(data: Dataset, cfg: PosteriorConfig) -> SubsetState:
-    rss = data.yty
+def empty_state(data: Dataset) -> SubsetState:
     return SubsetState((), np.empty(0, dtype=np.intp),
-                       np.empty((0, 0)), np.empty(0),
-                       rss, _log_weight(cfg, data.p, 0, rss), cfg)
+                       np.empty((0, 0)), np.empty(0), data.yty)
 
 
-def make_state(data: Dataset, J, cfg: PosteriorConfig) -> SubsetState:
+def make_state(data: Dataset, J) -> SubsetState:
     """Build the state for support J from scratch: the fold of update_add
-    over J in sorted order."""
+    over J in sorted order.  Once a pivot fails the support is deficient,
+    so the fold stops there and one SVD gives the RSS of all of J."""
     support = _check_subset(J, data.p)
-    state = empty_state(data, cfg)
+    state = empty_state(data)
     for j in support:
+        if state.chol is None:
+            return SubsetState(support, np.asarray(support, dtype=np.intp),
+                               None, None, residual_ss(data, support))
         state = update_add(state, j, data)
     return state
 
@@ -172,11 +167,8 @@ def update_add(state: SubsetState, j: int, data: Dataset) -> SubsetState:
     support = _check_subset(state.support + (j,), data.p)
     step = None if state.chol is None else _schur_step(state, j, data)
     if step is None:
-        rss = residual_ss(data, support)
         return SubsetState(support, np.asarray(support, dtype=np.intp),
-                           None, None, rss,
-                           _log_weight(state.cfg, data.p, len(support), rss),
-                           state.cfg)
+                           None, None, residual_ss(data, support))
     w, sc, t_new = step
     rss = max(state.rss - t_new * t_new, 0.0)
 
@@ -187,8 +179,7 @@ def update_add(state: SubsetState, j: int, data: Dataset) -> SubsetState:
     chol[s, s] = math.sqrt(sc)
     qty = np.concatenate((state.qty, (t_new,)))
     order = np.concatenate((state.order, (j,)))
-    return SubsetState(support, order, chol, qty, rss,
-                       _log_weight(state.cfg, data.p, s + 1, rss), state.cfg)
+    return SubsetState(support, order, chol, qty, rss)
 
 
 def update_remove(state: SubsetState, j: int, data: Dataset) -> SubsetState:
@@ -200,24 +191,17 @@ def update_remove(state: SubsetState, j: int, data: Dataset) -> SubsetState:
     if j not in state.support:
         raise DomainError(f"column {j} not in support")
     if state.chol is None:
-        return make_state(data, tuple(v for v in state.support if v != j),
-                          state.cfg)
+        return make_state(data, tuple(v for v in state.support if v != j))
     k = int(np.nonzero(state.order == j)[0][0])
     rss = data.yty
     for t in state.qty[:k]:
         rss = max(rss - t * t, 0.0)
     prefix = state.order[:k].copy()
     new = SubsetState(tuple(sorted(prefix.tolist())), prefix,
-                      state.chol[:k, :k].copy(), state.qty[:k].copy(), rss,
-                      _log_weight(state.cfg, data.p, k, rss), state.cfg)
+                      state.chol[:k, :k].copy(), state.qty[:k].copy(), rss)
     for v in state.order[k + 1:]:
         new = update_add(new, v, data)
     return new
-
-
-def peek_rss_remove(state: SubsetState, j: int, data: Dataset) -> float:
-    """RSS of support - {j}: that of update_remove's state, to the bit."""
-    return update_remove(state, j, data).rss
 
 
 def _svd_fit(data: Dataset, supports: np.ndarray):
@@ -237,27 +221,14 @@ def _svd_fit(data: Dataset, supports: np.ndarray):
 def least_squares_min_norm(data: Dataset, J) -> np.ndarray:
     """Minimum-Euclidean-norm least-squares fit supported on J, embedded in R^p.
 
-    Full-column-rank supports (every Cholesky pivot above the shared rank
-    rule) use the normal equations; anything else falls back to the SVD fit
+    The fit of make_state(data, J): triangular solves on the sorted Schur
+    fold when every pivot clears the shared rank rule, otherwise the SVD fit
     that residual_ss uses, which drops the directions under the same rule,
     so the fit is unique even when the columns of X_J are dependent.
     """
-    support = _check_subset(J, data.p)
     beta = np.zeros(data.p)
-    if not support:
-        return beta
-    idx = np.asarray(support, dtype=np.intp)
-    XJ = data.X[:, idx]
-    gram = XJ.T @ XJ
-    try:
-        L = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        L = None
-    if L is not None and np.min(np.diag(L)) ** 2 > EPS_RANK * data.n:
-        rhs = XJ.T @ data.y
-        beta[idx] = _tri_solve(L, _tri_solve(L, rhs), trans=1)
-    else:
-        beta[idx] = _svd_fit(data, idx[None])[0][0]
+    idx, val = make_state(data, J).beta_sparse(data)
+    beta[idx] = val
     return beta
 
 

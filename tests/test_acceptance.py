@@ -191,7 +191,7 @@ def test_c6_linear_algebra_oracles():
         X = rng.standard_normal((15, 10))
         y = rng.standard_normal(15)
         data = Dataset(X, y)
-        state = empty_state(data, cfg)
+        state = empty_state(data)
         active = set()
         for _ in range(20):
             if active and (rng.random() < 0.5 or len(active) >= 8):

@@ -207,6 +207,11 @@ class TestRestrictedSingularValues:
                                compute_uv=False)[-1]
         assert subset_min_singular(d, J) == pytest.approx(oracle, rel=1e-12)
 
+    @pytest.mark.parametrize("J", [(), (2, 2), (1, 4, 1), (-1,), (0, 10)])
+    def test_subset_min_singular_rejects_bad_subsets(self, small_data, J):
+        with pytest.raises(DomainError):
+            subset_min_singular(small_data, J)
+
     def test_fullrank_envelope_is_upper_bound(self, rng):
         X = rng.standard_normal((20, 8))
         d = Dataset(X, rng.standard_normal(20))

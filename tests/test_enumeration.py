@@ -218,7 +218,7 @@ class TestEnumerationMeans:
             table = enumerate_posterior(d, cfg)
             oracle = np.zeros(d.p)
             for J, _, pr in table.entries():
-                if make_state(d, J, cfg).full_rank:
+                if make_state(d, J).full_rank:
                     oracle += pr * least_squares_min_norm(d, J)
                 else:
                     deficient += 1
@@ -227,9 +227,27 @@ class TestEnumerationMeans:
             # the flag itself, support by support, whatever its weight
             for k, (_, _, full) in enumerate(_subset_fits(d, 4)):
                 assert full.tolist() == [
-                    make_state(d, J, cfg).full_rank
+                    make_state(d, J).full_rank
                     for J in subset_index_array(d.p, k)]
+            # one fit: the refit is the state's own fit, to the bit
+            for J, _, _ in table.entries():
+                assert np.array_equal(least_squares_min_norm(d, J)[list(J)],
+                                      make_state(d, J).beta_sparse(d)[1])
         assert deficient > 0
+
+    def test_subset_states_do_not_read_the_prior(self):
+        import ast
+        import inspect
+
+        import ewselect.subsets as subsets
+        tree = ast.parse(inspect.getsource(subsets))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not {m for m in imported if m.split(".")[-1] == "priors"}
 
 
 class TestSubsetIndexArray:

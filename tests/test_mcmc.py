@@ -8,9 +8,9 @@ import pytest
 
 from ewselect import (ChainConfig, Dataset, DomainError, PosteriorConfig,
                       default_threshold, enumerate_posterior, exact_estimators,
-                      least_squares_min_norm, make_state, map_refit, mh_step,
-                      posterior_mean, practical_lambda,
-                      restricted_posterior_mean, run_chain,
+                      least_squares_min_norm, log_posterior_unnorm,
+                      make_state, map_refit, mh_step, posterior_mean,
+                      practical_lambda, restricted_posterior_mean, run_chain,
                       threshold_coefficients)
 
 from conftest import planted_instance
@@ -32,10 +32,10 @@ class TestMhStep:
         X = rng.standard_normal((10, 4))
         d = Dataset(X, rng.standard_normal(10))
         cfg = PosteriorConfig(lam=0.1, max_support=2, sigma2=1.0)
-        st = make_state(d, (0, 1), cfg)
+        st = make_state(d, (0, 1))
         seen_sizes = set()
         for _ in range(200):
-            st = mh_step(st, d, rng)
+            st = mh_step(st, d, cfg, rng)
             seen_sizes.add(st.size)
         assert max(seen_sizes) <= 2
 
@@ -47,12 +47,12 @@ class TestMhStep:
         X = np.column_stack([x, x])
         d = Dataset(X, rng.standard_normal(10))
         cfg = PosteriorConfig(lam=1.0, max_support=1, sigma2=1.0)
-        st = make_state(d, (0,), cfg)
+        st = make_state(d, (0,))
         visited = set()
         changes = 0
         prev = st.support
         for _ in range(300):
-            st = mh_step(st, d, rng, move_mix=(0.0, 1.0))  # swap-only
+            st = mh_step(st, d, cfg, rng, move_mix=(0.0, 1.0))  # swap-only
             visited.add(st.support)
             if st.support != prev:
                 changes += 1
@@ -70,10 +70,10 @@ class TestMhStep:
 
         def transition_freqs(start):
             rng = np.random.default_rng(99)
-            st0 = make_state(data, start, cfg)
+            st0 = make_state(data, start)
             counts = Counter()
             for _ in range(reps):
-                nxt = mh_step(st0, data, rng)
+                nxt = mh_step(st0, data, cfg, rng)
                 counts[nxt.support] += 1
             return {sup: c / reps for sup, c in counts.items()}
 
@@ -166,6 +166,32 @@ class TestRunChain:
         running = np.maximum.accumulate(weights)
         assert np.all(np.diff(running) >= 0)
         assert acc.accepted == sum(int(r["accepted"]) for r in rows)
+        # the chain weighs supports as the posterior does
+        ref = log_posterior_unnorm(data, acc.best_support, cfg)
+        assert abs(acc.best_log_weight - ref) <= 1e-9 * (1.0 + abs(ref))
+
+    def test_each_removal_is_built_once(self, monkeypatch):
+        # a remove flip's candidate and a swap's intermediate share one
+        # memoized state, so no (support, column) removal is built twice
+        # while the state memo is under its cap (163 supports here)
+        import ewselect.mcmc as mcmc
+        import ewselect.subsets as subsets
+        data, _ = planted_instance(35, 25, 8, [1.0, -0.8], sigma=0.9)
+        cfg = PosteriorConfig(lam=0.5, max_support=4, sigma2=data.sigma ** 2)
+        built = []
+        real = subsets.update_remove
+
+        def spy(state, j, d):
+            built.append((state.support, int(j)))
+            return real(state, j, d)
+
+        monkeypatch.setattr(mcmc, "update_remove", spy)
+        monkeypatch.setattr(subsets, "update_remove", spy)
+        acc = run_chain(data, cfg, ChainConfig(burn_in=200, samples=2000,
+                                               seed=8))
+        assert acc.accepted > 20
+        assert len(built) > 20
+        assert len(built) == len(set(built))
 
     def test_multi_chain_merges_deterministically(self):
         data, _ = planted_instance(34, 25, 8, [1.0, -0.8], sigma=0.9)
