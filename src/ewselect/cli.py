@@ -135,7 +135,10 @@ def _cmd_lasso(args) -> int:
 
 def _cmd_diagnose(args) -> int:
     data, _ = read_dataset_csv(args.data, rescale=args.rescale)
-    sizes = [int(v) for v in args.s.split(",") if v.strip()]
+    try:
+        sizes = [int(v) for v in args.s.split(",") if v.strip()]
+    except ValueError:
+        raise DomainError(f"--s must list integers, got {args.s!r}") from None
     if not sizes:
         raise DomainError("--s must list at least one size")
     reports = [design_report(data, s, mode=args.mode, samples=args.samples,
@@ -163,6 +166,8 @@ def _cmd_diagnose(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    if args.jobs < 1:
+        raise DomainError(f"--jobs must be >= 1, got {args.jobs}")
     spec = parse_spec_file(args.spec)
     summary = run_experiment(spec, jobs=args.jobs)
     written = emit(summary, args.out)

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import enumeration
 from .data import Dataset
 from .enumeration import (_cholesky_walk, _completions, check_cap,
                           gather_gram, subset_index_array)
@@ -33,18 +34,16 @@ from .errors import DomainError, TooLargeError
 from .subsets import EPS_RANK, _check_subset
 
 _PRUNE_SAMPLE = 4096
-SCAN_CHUNK = 200_000   # subsets per batched eigvalsh (bounds peak memory)
-_SAMPLE_BLOCK_BYTES = 1 << 23   # uniform draws held at once by _sample_subsets
 
 
 def _sample_subsets(p: int, s: int, count: int, rng) -> np.ndarray:
     """`count` uniform size-s subsets of range(p), rows sorted.
 
-    Rows are drawn in blocks of at most _SAMPLE_BLOCK_BYTES of uniforms;
-    the generator fills arrays in order, so the rows equal a one-shot draw.
+    Rows are drawn in blocks of at most _SCREEN_ELEMS uniforms; the
+    generator fills arrays in order, so the rows equal a one-shot draw.
     """
     out = np.empty((count, s), dtype=np.intp)
-    rows = max(_SAMPLE_BLOCK_BYTES // (8 * p), 1)
+    rows = max(enumeration._SCREEN_ELEMS // p, 1)
     for lo in range(0, count, rows):
         u = rng.random((min(rows, count - lo), p))
         out[lo : lo + len(u)] = np.sort(np.argpartition(u, s - 1, axis=1)[:, :s],
@@ -53,9 +52,10 @@ def _sample_subsets(p: int, s: int, count: int, rng) -> np.ndarray:
 
 
 def _gram_chunks(G: np.ndarray, subs: np.ndarray):
-    """Gram blocks of the rows of `subs`, SCAN_CHUNK subsets at a time."""
-    for lo in range(0, len(subs), SCAN_CHUNK):
-        yield gather_gram(G, subs[lo : lo + SCAN_CHUNK])
+    """Gram blocks of the rows of `subs`, _SCREEN_ELEMS entries at most."""
+    step = max(enumeration._SCREEN_ELEMS // subs.shape[1] ** 2, 1)
+    for lo in range(0, len(subs), step):
+        yield gather_gram(G, subs[lo : lo + step])
 
 
 def _extreme_min_eig(G: np.ndarray, subs: np.ndarray, want: str) -> float:
@@ -105,7 +105,7 @@ def _scan_min_eig(G: np.ndarray, s: int, want: str) -> float:
     G_J - (t + delta)I succeeds has a computed lambda_min >= t and cannot
     lower it; for the maximum, one whose factorization of G_J - (t - delta)I
     fails has a computed lambda_min <= t and cannot raise it.  Only the
-    rest are eigensolved, SCAN_CHUNK at a time.
+    rest are eigensolved, _SCREEN_ELEMS Gram entries at a time.
     """
     if s == 1:
         diag = np.diag(G)
@@ -116,11 +116,11 @@ def _scan_min_eig(G: np.ndarray, s: int, want: str) -> float:
     best = _extreme_min_eig(G, sample, want)
     delta = _rounding_margin(G, s)
     shift = best + delta if want == "min" else best - delta
-    buf, size = [], 0
+    buf, size, chunk = [], 0, max(enumeration._SCREEN_ELEMS // (s * s), 1)
     for rows in _shifted_cholesky_screen(G, s, shift, want):
         buf.append(rows)
         size += len(rows)
-        if size >= SCAN_CHUNK:
+        if size >= chunk:
             best = pick(best, _extreme_min_eig(G, np.concatenate(buf), want))
             buf, size = [], 0
     if size:

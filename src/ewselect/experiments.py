@@ -364,21 +364,30 @@ def parse_spec_file(path) -> ExperimentSpec:
     return spec_from_mapping(raw)
 
 
+def _number(kind, key: str, text: str):
+    """kind(text), or a DomainError that names the spec key."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"bad value for spec key {key!r}: {text!r}") from None
+
+
 def spec_from_mapping(raw: dict) -> ExperimentSpec:
     aliases = {"s_star": "sparsity", "t0": "burn_in", "t": "samples"}
     fields = {}
     chain_fields = {}
     bool_values = {"true": True, "false": False, "1": True, "0": False,
                    "yes": True, "no": False}
-    for key, val in raw.items():
-        key = aliases.get(key, key)
+    for given, val in raw.items():
+        key = aliases.get(given, given)
         if key in ("n", "p", "sparsity", "reps", "seed", "tune_reps",
                    "max_support"):
-            fields[key] = int(val)
+            fields[key] = _number(int, given, val)
         elif key in ("lambda_kappa", "lasso_a", "signal_scale"):
-            fields[key] = float(val)
+            fields[key] = _number(float, given, val)
         elif key == "threshold":
-            fields[key] = None if str(val).lower() in ("auto", "none") else float(val)
+            fields[key] = None if str(val).lower() in ("auto", "none") \
+                else _number(float, given, val)
         elif key == "normalize":
             try:
                 fields[key] = bool_values[str(val).lower()]
@@ -387,9 +396,10 @@ def spec_from_mapping(raw: dict) -> ExperimentSpec:
         elif key == "methods":
             fields[key] = tuple(m.strip() for m in str(val).split(",") if m.strip())
         elif key == "lasso_a_grid":
-            fields[key] = tuple(float(v) for v in str(val).split(",") if v.strip())
+            fields[key] = tuple(_number(float, given, v)
+                                for v in str(val).split(",") if v.strip())
         elif key in ("burn_in", "samples", "chains"):
-            chain_fields[key] = int(val)
+            chain_fields[key] = _number(int, given, val)
         else:
             raise DomainError(f"unknown spec key {key!r}")
     for req in ("n", "p", "sparsity"):

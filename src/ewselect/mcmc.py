@@ -4,11 +4,11 @@ One kernel, _walk, serves run_chain and mh_step.  It mixes two symmetric
 proposals: flip (toggle one uniformly chosen coordinate) and swap (exchange
 a uniform member for a uniform non-member, drawn by rejection), so
 acceptance reduces to the posterior ratio.  The kernel weighs a support as
-log prior(|J|) - rss / (2 sigma^2) from the RSS its subset state holds, and
-memoizes log-weights and states keyed by bitmask; a remove flip's candidate
-is a swap's intermediate, so both read one memoized removal.  Memoization
-only caches deterministic quantities, so the sampled law is identical to
-the plain kernel.
+log prior(|J|) - rss / (2 sigma^2) from the RSS its subset state holds.  It
+memoizes log-weights by support bitmask, and the current state's removals
+by column: a remove flip's candidate is a swap's intermediate, so both read
+one removal, built once per stay.  Memoization only caches deterministic
+quantities, so the sampled law is identical to the plain kernel.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .subsets import (SubsetState, _check_subset, least_squares_min_norm,
 
 VISIT_CAP = 100_000        # most distinct supports kept in the histogram
 LOGW_CACHE_CAP = 200_000   # memoized per-support log-weights
-STATE_CACHE_BYTES = 48_000_000
 _BLOCK = 16384
 
 
@@ -151,28 +150,14 @@ def _initial_support(data: Dataset, pcfg: PosteriorConfig, init) -> tuple[int, .
     return support
 
 
-def _state_cache_cap(sbar: int) -> int:
-    per_state = 8 * sbar * sbar + 512
-    return max(256, min(100_000, STATE_CACHE_BYTES // per_state))
-
-
-def _removal(state: SubsetState, j: int, rm_mask: int, data: Dataset,
-             states: dict, state_cap: int) -> SubsetState:
-    """Memoized state for support - {j}: a remove flip's candidate, or a
-    swap's intermediate."""
-    out = states.get(rm_mask)
-    if out is None:
-        out = update_remove(state, j, data)
-        if len(states) < state_cap:
-            states[rm_mask] = out
-    return out
-
-
 def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
           burn: int, samples: int, move_mix: tuple[float, float], rng,
           block: int, trace_rows) -> tuple[SubsetState, ChainAccumulators]:
     """burn + samples Metropolis steps from `state`: (final state, sums over
-    the last `samples` steps).  Uniforms are drawn `block` at a time."""
+    the last `samples` steps).  Uniforms are drawn `block` at a time.  A
+    proposal drops column `drop` and/or adds `add` (-1: none) to its base,
+    `state` or the memoized removal of `drop`; an accepted move keeps only
+    the new state's one known removal, its base less `add`."""
     p = data.p
     sbar = min(pcfg.max_support, p)
     lp = log_prior_table(p, pcfg)
@@ -186,9 +171,8 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     lw_cur = float(lp[state.size]) - state.rss / twos2
 
     logws = {mask: lw_cur}
-    states = {mask: state}
-    state_cap = _state_cache_cap(sbar)
-    visits: dict[int, int] = {}
+    removals: dict[int, SubsetState] = {}
+    visits: dict[tuple[int, ...], int] = {}
     visit_overflow = 0
     mean_sum = np.zeros(p)
     restr_sum = np.zeros(p)
@@ -198,7 +182,6 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
 
     pool = rng.random(block)
     pool_i = 0
-    move_u = coord_u = logacc = None
 
     def flush(n_steps: int):
         nonlocal visit_overflow
@@ -209,12 +192,20 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
             mean_sum[idx] += val * n_steps
             if state.full_rank:
                 restr_sum[idx] += val * n_steps
-        if mask in visits:
-            visits[mask] += n_steps
+        if state.support in visits:
+            visits[state.support] += n_steps
         elif len(visits) < VISIT_CAP:
-            visits[mask] = n_steps
+            visits[state.support] = n_steps
         else:
             visit_overflow += n_steps
+
+    def base(drop: int) -> SubsetState:
+        if drop < 0:
+            return state
+        out = removals.get(drop)
+        if out is None:
+            out = removals[drop] = update_remove(state, drop, data)
+        return out
 
     for t in range(total):
         i = t % block
@@ -223,63 +214,43 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
             coord_u = rng.random(block)
             logacc = np.log(rng.random(block))
         size = len(state.support)
-        kind = -1
+        drop = add = -1
         if move_u[i] < p_flip:
             j = int(coord_u[i] * p)
-            jbit = 1 << j
-            if mask & jbit:
-                kind = 1
-                rm_mask = cand_mask = mask ^ jbit
-                cand_size = size - 1
+            cand_mask = mask ^ (1 << j)
+            if (mask >> j) & 1:
+                drop = j
             elif size < sbar:
-                kind = 0
-                cand_mask = mask | jbit
-                cand_size = size + 1
+                add = j
         elif 0 < size < p:
-            kind = 2
-            j = state.support[int(coord_u[i] * size)]
+            drop = state.support[int(coord_u[i] * size)]
             while True:
                 if pool_i >= block:
                     pool = rng.random(block)
                     pool_i = 0
-                k = int(pool[pool_i] * p)
+                add = int(pool[pool_i] * p)
                 pool_i += 1
-                if not (mask >> k) & 1:
+                if not (mask >> add) & 1:
                     break
-            rm_mask = mask ^ (1 << j)
-            cand_mask = rm_mask | (1 << k)
-            cand_size = size
+            cand_mask = mask ^ (1 << drop) ^ (1 << add)
 
         acc_flag = False
-        if kind >= 0:
+        if drop >= 0 or add >= 0:
             lw_c = logws.get(cand_mask)
-            inter = None
             if lw_c is None:
-                if kind == 0:
-                    rss_c = peek_rss_add(state, j, data)
-                else:
-                    inter = _removal(state, j, rm_mask, data, states,
-                                     state_cap)
-                    rss_c = inter.rss if kind == 1 else \
-                        peek_rss_add(inter, k, data)
-                lw_c = float(lp[cand_size]) - rss_c / twos2
+                b = base(drop)
+                rss_c = b.rss if add < 0 else peek_rss_add(b, add, data)
+                lw_c = float(lp[cand_mask.bit_count()]) - rss_c / twos2
                 if len(logws) < LOGW_CACHE_CAP:
                     logws[cand_mask] = lw_c
             if lw_c - lw_cur > logacc[i]:
                 acc_flag = True
                 accepted += 1
-                new_state = states.get(cand_mask)
-                if new_state is None:
-                    if kind == 0:
-                        new_state = update_add(state, j, data)
-                    else:
-                        if inter is None:
-                            inter = _removal(state, j, rm_mask, data, states,
-                                             state_cap)
-                        new_state = inter if kind == 1 else \
-                            update_add(inter, k, data)
-                    if len(states) < state_cap:
-                        states[cand_mask] = new_state
+                b = base(drop)
+                new_state = b if add < 0 else update_add(b, add, data)
+                removals.clear()
+                if add >= 0:
+                    removals[add] = b
                 if t >= burn:
                     flush(run_len)
                 run_len = 0
@@ -312,11 +283,11 @@ def _merge(parts: list[ChainAccumulators]) -> ChainAccumulators:
         if acc.best_log_weight > out.best_log_weight:
             out.best_support = acc.best_support
             out.best_log_weight = acc.best_log_weight
-        for mk, cnt in acc.visit_counts.items():
-            if mk in out.visit_counts:
-                out.visit_counts[mk] += cnt
+        for sup, cnt in acc.visit_counts.items():
+            if sup in out.visit_counts:
+                out.visit_counts[sup] += cnt
             elif len(out.visit_counts) < VISIT_CAP:
-                out.visit_counts[mk] = cnt
+                out.visit_counts[sup] = cnt
             else:
                 out.visit_overflow += cnt
         out.visit_overflow += acc.visit_overflow
@@ -344,9 +315,6 @@ def run_chain(data: Dataset, pcfg: PosteriorConfig,
                    _BLOCK, trace_rows)[1]
              for s in seeds]
     acc = _merge(parts)
-    acc.visit_counts = {
-        _mask_to_support(mk): cnt for mk, cnt in acc.visit_counts.items()
-    }
     if trace_rows is not None:
         with open(ccfg.trace_path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -355,13 +323,3 @@ def run_chain(data: Dataset, pcfg: PosteriorConfig,
                 w.writerow([row[0], row[1], f"{row[2]:.17g}", row[3]])
     return acc
 
-
-def _mask_to_support(mask: int) -> tuple[int, ...]:
-    out = []
-    j = 0
-    while mask:
-        if mask & 1:
-            out.append(j)
-        mask >>= 1
-        j += 1
-    return tuple(out)

@@ -265,6 +265,13 @@ class TestDiagnoseCommand:
             assert main(["diagnose", str(path), "--s", "2", "--mode", "mc",
                          "--samples", samples]) == 2
 
+    @pytest.mark.parametrize("sizes", ["a", "2,x", "1.5"])
+    def test_malformed_sizes_exit_code(self, planted_csv, capsys, sizes):
+        path = planted_csv[0]
+        assert main(["diagnose", str(path), "--s", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--s" in captured.err
+
     def test_mc_mode_beyond_exhaustive_cap(self, tmp_path, rng, capsys):
         n, p = 100, 200
         path = tmp_path / "wide.csv"
@@ -304,7 +311,9 @@ class TestExperimentCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["lasso_a_grid=-1,2", "lasso_a_grid=nan",
-                                      "signal_scale=nan"])
+                                      "signal_scale=nan", "n=abc",
+                                      "lasso_a_grid=1,x", "chains=two",
+                                      "t0=1.5", "threshold=low"])
     def test_invalid_spec_value_names_the_key(self, tmp_path, capsys, line):
         spec = tmp_path / "bad.spec"
         spec.write_text("n=30\np=10\ns_star=2\nreps=2\nt0=20\nt=40\n"
@@ -313,6 +322,17 @@ class TestExperimentCommand:
         assert main(["experiment", "--spec", str(spec),
                      "--out", str(out)]) == 2
         assert line.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_nonpositive_jobs_exit_code(self, tmp_path, capsys, jobs):
+        spec = tmp_path / "run.spec"
+        spec.write_text("n=30\np=10\ns_star=2\nreps=2\nt0=20\nt=40\n"
+                        "methods=lasso\ntune_reps=0\n")
+        out = tmp_path / "o"
+        assert main(["experiment", "--spec", str(spec), "--out", str(out),
+                     "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_spec_exit_code(self, tmp_path):

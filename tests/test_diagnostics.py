@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import ewselect.diagnostics as diag
+import ewselect.enumeration as enumeration
 from ewselect import (Dataset, DomainError, TooLargeError,
                       covariance_subset_bounds, design_report, is_identifiable,
                       max_restricted_singular, min_fullrank_singular_estimate,
@@ -194,7 +195,7 @@ class TestRestrictedSingularValues:
         p, s, count = 13, 4, 7
         u = np.random.default_rng(5).random((count, p))
         one_shot = np.sort(np.argpartition(u, s - 1, axis=1)[:, :s], axis=1)
-        monkeypatch.setattr(diag, "_SAMPLE_BLOCK_BYTES", 3 * p * 8)
+        monkeypatch.setattr(enumeration, "_SCREEN_ELEMS", 3 * p)
         blocked = diag._sample_subsets(p, s, count, np.random.default_rng(5))
         np.testing.assert_array_equal(blocked, one_shot)
         assert blocked.dtype == np.intp

@@ -81,14 +81,20 @@ class TestBatchedRss:
         ref = [(_subset_fits(d, s), min_restricted_singular(d, 3),
                 max_restricted_singular(d, 3)) for d, s in cases]
         walk, sizes = enumeration._cholesky_walk, []
+        gather, gathered = diagnostics.gather_gram, []
 
         def recording(*args, **kwargs):
             for batch in walk(*args, **kwargs):
                 sizes.append((batch[0].shape[1], batch[4].size))
                 yield batch
+
+        def recording_gather(G, subs):
+            gathered.append(subs.shape[0] * subs.shape[1] ** 2)
+            return gather(G, subs)
         monkeypatch.setattr(enumeration, "_SCREEN_ELEMS", 4096)
         monkeypatch.setattr(enumeration, "_cholesky_walk", recording)
         monkeypatch.setattr(diagnostics, "_cholesky_walk", recording)
+        monkeypatch.setattr(diagnostics, "gather_gram", recording_gather)
         for (d, s), (fits, lo, hi) in zip(cases, ref):
             for got, want in zip(_subset_fits(d, s), fits):
                 for a, b in zip(got, want):
@@ -96,6 +102,8 @@ class TestBatchedRss:
             assert min_restricted_singular(d, 3) == lo
             assert max_restricted_singular(d, 3) == hi
         assert max(size for _, size in sizes) <= 4096
+        # the diagnostics' Gram gathers and eigensolves share the bound
+        assert max(gathered) <= 4096 and len(gathered) > len(cases) * 10
         # the wide design's root alone has 100 children of ~100 entries
         assert sum(depth == 0 for depth, _ in sizes) > len(cases) * 3
 

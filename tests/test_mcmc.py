@@ -27,6 +27,27 @@ def flat_posterior_data(p=5, n=8):
     return data, cfg
 
 
+def walk_removals(monkeypatch, data, cfg, start, steps, rng, block=1024):
+    """Run the chain kernel for `steps` recorded steps from `start`, spying
+    on update_remove under both module names: (builds as (step, support,
+    column, state built), trace rows (step, size, log-weight, accepted))."""
+    import ewselect.mcmc as mcmc
+    import ewselect.subsets as subsets
+    built, rows = [], []
+    real = subsets.update_remove
+
+    def spy(state, j, d):
+        out = real(state, j, d)
+        built.append((len(rows), state.support, int(j), out))
+        return out
+
+    monkeypatch.setattr(mcmc, "update_remove", spy)
+    monkeypatch.setattr(subsets, "update_remove", spy)
+    mcmc._walk(data, cfg, make_state(data, start), 0, steps, (0.5, 0.5), rng,
+               block, rows)
+    return built, rows
+
+
 class TestMhStep:
     def test_cap_exceeding_flip_rejected(self, rng):
         X = rng.standard_normal((10, 4))
@@ -170,28 +191,62 @@ class TestRunChain:
         ref = log_posterior_unnorm(data, acc.best_support, cfg)
         assert abs(acc.best_log_weight - ref) <= 1e-9 * (1.0 + abs(ref))
 
-    def test_each_removal_is_built_once(self, monkeypatch):
-        # a remove flip's candidate and a swap's intermediate share one
-        # memoized state, so no (support, column) removal is built twice
-        # while the state memo is under its cap (163 supports here)
+    def test_removals_live_for_one_stay(self, monkeypatch):
+        # 8000 steps at a small lambda build removals of over 256 distinct
+        # supports, more than a state memo of 256 entries holds; a stay at
+        # J still builds each of its |J| removals at most once
+        data, _ = planted_instance(40, 60, 300, [1.0, -0.8, 0.8], sigma=0.9)
+        cfg = PosteriorConfig(lam=4.0, max_support=200, sigma2=data.sigma ** 2)
+        built, rows = walk_removals(monkeypatch, data, cfg, (), 8000,
+                                    np.random.default_rng(3))
+        accepted = [r[3] for r in rows]
+        stay_of_step = np.concatenate(([0], np.cumsum(accepted)))
+        stay_sizes = [0] + [r[1] for r in rows if r[3]]
+        per_stay = {}
+        for t, support, j, _ in built:
+            per_stay.setdefault(stay_of_step[t], []).append((support, j))
+        assert len(per_stay) > 100
+        for s, pairs in per_stay.items():
+            assert len(pairs) == len(set(pairs))
+            assert all(support == pairs[0][0] for support, _ in pairs)
+            assert len(pairs[0][0]) == stay_sizes[s]
+        removed = {out.support for *_, out in built}
+        assert len(removed) > 256
+        assert len(built) <= sum(stay_sizes)
+
+    def test_remove_flip_and_swap_share_a_removal(self, monkeypatch):
+        # step 0 proposes removing column 1 from (1, 3), step 1 swaps 1 for
+        # 0; both are rejected (log-uniforms of ~690), and the swap peeks
+        # its add on the removal the flip built
+        data, _ = planted_instance(41, 20, 6, [1.0, -0.8], sigma=0.5)
+        cfg = PosteriorConfig(lam=2.0, max_support=4, sigma2=data.sigma ** 2)
+        draws = iter([[0.5 / 6, 0.5],        # swap add pool: column 0
+                      [0.0, 0.99],           # move: flip, then swap
+                      [1.5 / 6, 0.25],       # flip column 1; swap member 0
+                      [1e300, 1e300]])       # acceptance uniforms
+
+        class ScriptedRng:
+            def random(self, size):
+                out = np.asarray(next(draws))
+                assert out.shape == (size,)
+                return out
+
         import ewselect.mcmc as mcmc
-        import ewselect.subsets as subsets
-        data, _ = planted_instance(35, 25, 8, [1.0, -0.8], sigma=0.9)
-        cfg = PosteriorConfig(lam=0.5, max_support=4, sigma2=data.sigma ** 2)
-        built = []
-        real = subsets.update_remove
+        peeked = []
+        real_peek = mcmc.peek_rss_add
 
-        def spy(state, j, d):
-            built.append((state.support, int(j)))
-            return real(state, j, d)
+        def peek_spy(state, j, d):
+            peeked.append((state, int(j)))
+            return real_peek(state, j, d)
 
-        monkeypatch.setattr(mcmc, "update_remove", spy)
-        monkeypatch.setattr(subsets, "update_remove", spy)
-        acc = run_chain(data, cfg, ChainConfig(burn_in=200, samples=2000,
-                                               seed=8))
-        assert acc.accepted > 20
-        assert len(built) > 20
-        assert len(built) == len(set(built))
+        monkeypatch.setattr(mcmc, "peek_rss_add", peek_spy)
+        built, rows = walk_removals(monkeypatch, data, cfg, (1, 3), 2,
+                                    ScriptedRng(), block=2)
+        assert [r[3] for r in rows] == [0, 0]
+        assert [(t, support, j) for t, support, j, _ in built] == \
+            [(0, (1, 3), 1)]
+        ((base, k),) = peeked
+        assert k == 0 and base is built[0][3]
 
     def test_multi_chain_merges_deterministically(self):
         data, _ = planted_instance(34, 25, 8, [1.0, -0.8], sigma=0.9)
