@@ -51,19 +51,20 @@ def _sample_subsets(p: int, s: int, count: int, rng) -> np.ndarray:
     return out
 
 
-def _gram_chunks(G: np.ndarray, subs: np.ndarray):
-    """Gram blocks of the rows of `subs`, _SCREEN_ELEMS entries at most."""
+def _eigvals(G: np.ndarray, subs: np.ndarray):
+    """eigvalsh of the Gram blocks of the rows of `subs`, gathered
+    _SCREEN_ELEMS entries at most at a time."""
     step = max(enumeration._SCREEN_ELEMS // subs.shape[1] ** 2, 1)
     for lo in range(0, len(subs), step):
-        yield gather_gram(G, subs[lo : lo + step])
+        yield np.linalg.eigvalsh(gather_gram(G, subs[lo : lo + step]))
 
 
 def _extreme_min_eig(G: np.ndarray, subs: np.ndarray, want: str) -> float:
     """min or max (`want`) of lambda_min(G_J) over the rows J of `subs`."""
     pick, reduce = (min, np.min) if want == "min" else (max, np.max)
     best = math.inf if want == "min" else -math.inf
-    for GJ in _gram_chunks(G, subs):
-        best = pick(best, float(reduce(np.linalg.eigvalsh(GJ)[:, 0])))
+    for vals in _eigvals(G, subs):
+        best = pick(best, float(reduce(vals[:, 0])))
     return best
 
 
@@ -93,8 +94,7 @@ def _shifted_cholesky_screen(G: np.ndarray, s: int, shift: float, want: str):
             hit = rc = None   # free them before the walk builds the next batch
             yield np.column_stack([P[b], f + c, f + l])
         elif want == "min":
-            for c in np.flatnonzero(~ok.all(axis=0)):
-                yield _completions(P[~ok[:, c]], f + c, p, s - k - 1)
+            yield from _completions(P, f, ok, p, s - k - 1)
 
 
 def _scan_min_eig(G: np.ndarray, s: int, want: str) -> float:
@@ -116,15 +116,8 @@ def _scan_min_eig(G: np.ndarray, s: int, want: str) -> float:
     best = _extreme_min_eig(G, sample, want)
     delta = _rounding_margin(G, s)
     shift = best + delta if want == "min" else best - delta
-    buf, size, chunk = [], 0, max(enumeration._SCREEN_ELEMS // (s * s), 1)
     for rows in _shifted_cholesky_screen(G, s, shift, want):
-        buf.append(rows)
-        size += len(rows)
-        if size >= chunk:
-            best = pick(best, _extreme_min_eig(G, np.concatenate(buf), want))
-            buf, size = [], 0
-    if size:
-        best = pick(best, _extreme_min_eig(G, np.concatenate(buf), want))
+        best = pick(best, _extreme_min_eig(G, rows, want))
     return best
 
 
@@ -169,8 +162,8 @@ def _restricted_singular(data: Dataset, s: int, mode: str, samples: int,
             check_cap(math.comb(data.p, s), cap)
         lam = _scan_min_eig(G, s, want)
     elif mode == "mc":
-        if samples < 1:
-            raise DomainError("samples must be >= 1")
+        if samples < 1 or seed < 0:
+            raise DomainError("need samples >= 1 and seed >= 0")
         subs = _sample_subsets(data.p, s, samples, np.random.default_rng(seed))
         lam = _extreme_min_eig(G, subs, want)
     else:
@@ -221,8 +214,8 @@ def min_fullrank_singular_estimate(data: Dataset, samples: int = 10_000,
     above the rank cutoff, an upper bound on the true minimum.
     """
     cap = max_size if max_size is not None else min(data.n, data.p)
-    if cap < 1 or samples < 1:
-        raise DomainError("max_size and samples must be >= 1")
+    if cap < 1 or samples < 1 or seed < 0:
+        raise DomainError("need max_size and samples >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)
     best = math.inf
     G = _normalized_gram(data)
@@ -230,8 +223,8 @@ def min_fullrank_singular_estimate(data: Dataset, samples: int = 10_000,
     cutoff = math.sqrt(EPS_RANK)
     for s in range(1, cap + 1):
         count = min(per_size, math.comb(data.p, s))
-        for GJ in _gram_chunks(G, _sample_subsets(data.p, s, count, rng)):
-            nu = np.sqrt(np.maximum(np.linalg.eigvalsh(GJ)[:, 0], 0.0))
+        for vals in _eigvals(G, _sample_subsets(data.p, s, count, rng)):
+            nu = np.sqrt(np.maximum(vals[:, 0], 0.0))
             ok = nu[nu > cutoff]
             if len(ok):
                 best = min(best, float(ok.min()))
@@ -282,8 +275,7 @@ def covariance_subset_bounds(Sigma, s: int) -> tuple[float, float]:
     # both extremes are attained at size exactly s (interlacing)
     eta = -math.inf
     lam = math.inf
-    for block in _gram_chunks(Sigma, subset_index_array(p, s)):
-        vals = np.linalg.eigvalsh(block)
+    for vals in _eigvals(Sigma, subset_index_array(p, s)):
         lo_vals, hi_vals = vals[:, 0], vals[:, -1]
         lam = min(lam, float(lo_vals.min()))
         with np.errstate(divide="ignore", invalid="ignore"):

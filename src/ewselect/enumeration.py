@@ -4,10 +4,12 @@ Subsets of size s are materialized once per (p, s) as a lexicographic index
 array and cached.  Every exact scan runs on one prefix-sharing Cholesky walk
 (_cholesky_walk); carrying y as one more Gram column makes each node's last
 Schur entry its residual sum of squares (the leaps idea of Furnival &
-Wilson, Technometrics 1974), which fits every subset up to the cap.
+Wilson, Technometrics 1974).  One stream (_walk_fits) yields the fit of
+every subset the walk forms, rank-deficient fallbacks included; the
+posterior table (_subset_fits) and exhaustive l0 both read it.
 
 The penalized scan (_penalized_scan, exhaustive l0) is a branch-and-bound
-on that walk.  RSS cannot rise as columns are added, so the subtree of a
+on that stream.  RSS cannot rise as columns are added, so the subtree of a
 node P's child P + c (its supersets within P + {c, ..., p-1}) scores at
 least rss(P + {c, ..., p-1}) + lam (|P| + 1).  One Cholesky factor of the
 bordered Gram in reverse column order (_suffix_factor) holds the Schur
@@ -146,13 +148,17 @@ def gather_gram(G: np.ndarray, subs: np.ndarray) -> np.ndarray:
     return G[subs[:, :, None], subs[:, None, :]]
 
 
-def _completions(P: np.ndarray, j: int, p: int, t: int) -> np.ndarray:
-    """Rows P[i] + (j,) + T for each prefix row P[i] (all below j) and each
-    size-t subset T of range(j + 1, p), prefix-major."""
-    tails = subset_index_array(p - 1 - j, t) + (j + 1)
-    return np.column_stack([np.repeat(P, len(tails), axis=0),
-                            np.full(len(P) * len(tails), j),
-                            np.tile(tails, (len(P), 1))])
+def _completions(P: np.ndarray, f: int, ok: np.ndarray, q: int, t: int):
+    """For each child column c of a walk batch (P, f, ok) whose pivot failed
+    on some prefix row, one array of the rows P[i] + (f+c,) + T over those
+    failing rows P[i] and the size-t subsets T of range(f+c+1, q),
+    prefix-major."""
+    for c in np.flatnonzero(~ok.all(axis=0)):
+        j, Pc = f + c, P[~ok[:, c]]
+        tails = subset_index_array(q - 1 - j, t) + (j + 1)
+        yield np.column_stack([np.repeat(Pc, len(tails), axis=0),
+                               np.full(len(Pc) * len(tails), j),
+                               np.tile(tails, (len(Pc), 1))])
 
 
 def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
@@ -273,49 +279,43 @@ def _bordered_gram(data) -> np.ndarray:
                      [data.xty[None, :], np.array([[data.yty]])]])
 
 
-def _svd_fits(data, rows: np.ndarray):
-    """subsets._svd_fit (coefficients, rss) of a stack of same-size rows,
-    in chunks of at most _SCREEN_ELEMS design entries."""
-    coef, rss = np.empty(rows.shape), np.empty(len(rows))
-    step = max(_SCREEN_ELEMS // (data.n * rows.shape[1]), 1)
-    for i in range(0, len(rows), step):
-        coef[i:i + step], rss[i:i + step] = _svd_fit(data, rows[i:i + step])
-    return coef, rss
+def _walk_fits(data, A: np.ndarray, s_max: int, factors: bool = True,
+               bound=None):
+    """(rows, rss, beta, full) for each batch of subsets with at most s_max
+    columns that the walk on the bordered Gram A forms.  A pivot <=
+    EPS_RANK * n fails (subsets._schur_step's rule).  A batch's full-rank
+    children come first (beta = L'^-1 z, or None without `factors`); each
+    failed child and all its completions follow with subsets._svd_fit,
+    _SCREEN_ELEMS design entries at a time.  The walk, and so `bound`,
+    resumes only after."""
+    for P, f, W, ok, w, rc, Lc in _cholesky_walk(
+            A, data.p, s_max, EPS_RANK * data.n, factors=factors,
+            bound=bound):
+        b, c = np.nonzero(ok)
+        beta = None if Lc is None else _back_substitute(
+            Lc[b, c], np.column_stack([W[b, :, -1], w[b, c, -1]]))
+        yield (np.column_stack([P[b], f + c]), np.maximum(rc[b, c, -1], 0.0),
+               beta, True)
+        for t in range(s_max - P.shape[1]):
+            for rows in _completions(P, f, ok, data.p, t):
+                step = max(_SCREEN_ELEMS // (data.n * rows.shape[1]), 1)
+                for i in range(0, len(rows), step):
+                    beta, rss = _svd_fit(data, rows[i : i + step])
+                    yield rows[i : i + step], rss, beta, False
 
 
 def _subset_fits(data, s_max: int):
     """Least-squares fit of every subset with at most s_max columns: one
     (rss, beta, full_rank) triple per size k, rows in subset_index_array
-    order, beta one coefficient per column of the row.
-
-    The walk runs on the bordered Gram, so a node's carried Schur entry is
-    its RSS and its carried column of W is z, with beta = L'^-1 z.  A
-    pivot <= EPS_RANK * n fails (the chain's subsets._schur_step rule); that
-    subset and its completions get the dense fit of subsets._svd_fit.
-    """
+    order, beta one coefficient per column of the row (from _walk_fits)."""
     p = data.p
     fits = [(np.empty(math.comb(p, k)), np.empty((math.comb(p, k), k)),
              np.ones(math.comb(p, k), dtype=bool)) for k in range(s_max + 1)]
     fits[0][0][:] = data.yty
-    failed = [[] for _ in range(s_max + 1)]
-    for P, f, W, ok, w, rc, Lc in _cholesky_walk(
-            _bordered_gram(data), p, s_max, EPS_RANK * data.n):
-        k = P.shape[1] + 1
-        rss, beta, _ = fits[k]
-        b, c = np.nonzero(ok)
-        at = subset_rank(np.column_stack([P[b], f + c]), p)
-        rss[at] = np.maximum(rc[b, c, -1], 0.0)
-        beta[at] = _back_substitute(
-            Lc[b, c], np.column_stack([W[b, :, -1], w[b, c, -1]]))
-        for j in np.flatnonzero(~ok.all(axis=0)):
-            for t in range(s_max - k + 1):
-                failed[k + t].append(_completions(P[~ok[:, j]], f + j, p, t))
-    for (rss, beta, full), parts in zip(fits, failed):
-        if parts:
-            rows = np.concatenate(parts)
-            at = subset_rank(rows, p)
-            full[at] = False
-            beta[at], rss[at] = _svd_fits(data, rows)
+    for rows, *fit in _walk_fits(data, _bordered_gram(data), s_max):
+        at = subset_rank(rows, p)
+        for out, v in zip(fits[rows.shape[1]], fit):
+            out[at] = v
     return fits
 
 
@@ -377,11 +377,9 @@ def _suffix_rss(A, U, live, P: np.ndarray, m: int, tol: float):
 
 def _penalized_scan(data, s_max: int, lam: float):
     """(support, score) minimizing rss(J) + lam |J| over |J| <= s_max, by
-    the branch-and-bound of the module docstring on the walk without
-    factors.  Scores within the slack of the minimum tie, and ties go to
-    the smaller, then lexicographically first, support.  Children whose
-    pivot fails get the dense subsets._svd_fit of themselves and all their
-    completions.
+    the branch-and-bound of the module docstring on the fits of _walk_fits
+    without factors.  Scores within the slack of the minimum tie, and ties
+    go to the smaller, then lexicographically first, support.
 
     Nodes of size s_max - 1 are not bounded: their children are leaves,
     whose carried-row fits cost less than the bound.  So with s_max <= 2
@@ -414,15 +412,8 @@ def _penalized_scan(data, s_max: int, lam: float):
             return np.where(cut.all(axis=1), 0,
                             lb.shape[1] - cut.argmin(axis=1))
 
-    for P, f, _, ok, _, rc, _ in _cholesky_walk(
-            A, p, s_max, tol, factors=False, bound=bound):
-        k = P.shape[1] + 1
-        b, c = np.nonzero(ok)
-        offer(np.column_stack([P[b], f + c]),
-              np.maximum(rc[b, c, -1], 0.0) + lam * k)
-        for j in np.flatnonzero(~ok.all(axis=0)):
-            for t in range(s_max - k + 1):
-                rows = _completions(P[~ok[:, j]], f + j, p, t)
-                offer(rows, _svd_fits(data, rows)[1] + lam * (k + t))
+    for rows, rss, _, _ in _walk_fits(data, A, s_max, factors=False,
+                                      bound=bound):
+        offer(rows, rss + lam * rows.shape[1])
     score, support = min(ties, key=lambda t: (len(t[1]), t[1]))
     return support, score

@@ -59,6 +59,8 @@ class ExperimentSpec:
             raise DomainError("sparsity must be in [0, p]")
         if self.reps < 1:
             raise DomainError("reps must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         methods = tuple(_METHOD_ALIASES.get(m, m) for m in self.methods)
         if any(m not in METHOD_NAMES for m in methods):
             raise DomainError(f"unknown methods in {self.methods}")

@@ -53,6 +53,8 @@ class ChainConfig:
             raise DomainError("burn_in must be >= 0")
         if self.samples < 1:
             raise DomainError("samples must be >= 1")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         pf, ps = self.move_mix
         if pf < 0 or ps < 0 or abs(pf + ps - 1.0) > 1e-12:
             raise DomainError("move_mix must be nonnegative and sum to 1")

@@ -116,34 +116,44 @@ def empty_state(data: Dataset) -> SubsetState:
 
 def make_state(data: Dataset, J) -> SubsetState:
     """Build the state for support J from scratch: the fold of update_add
-    over J in sorted order.  Once a pivot fails the support is deficient,
-    so the fold stops there and one SVD gives the RSS of all of J."""
+    over J in sorted order."""
     support = _check_subset(J, data.p)
-    state = empty_state(data)
-    for j in support:
-        if state.chol is None:
-            return SubsetState(support, np.asarray(support, dtype=np.intp),
-                               None, None, residual_ss(data, support))
-        state = update_add(state, j, data)
-    return state
+    return _fold(data, empty_state(data), support, support)
 
 
-def _schur_step(state: SubsetState, j: int, data: Dataset):
+def _schur_step(order, chol, qty, j: int, data: Dataset):
     """(new factor row, squared pivot, new qty entry) for appending column j
-    to a full-rank state; None when the pivot falls under the rank rule."""
-    d = data.col_sq[j]
-    if state.size == 0:
-        w = np.empty(0)
-        sc = float(d)
-        dot_wq = 0.0
-    else:
-        c = data.xt[state.order] @ data.xt[j]
-        w = _tri_solve(state.chol, c)
-        sc = float(d - w @ w)
-        dot_wq = float(w @ state.qty)
+    to the full-rank fit (order, chol, qty); None when the pivot falls under
+    the rank rule."""
+    w = (_tri_solve(chol, data.xt[order] @ data.xt[j]) if len(order)
+         else np.empty(0))   # trtrs rejects an empty factor
+    sc = float(data.col_sq[j] - w @ w)
     if sc <= EPS_RANK * data.n:
         return None
-    return w, sc, (data.xty[j] - dot_wq) / math.sqrt(sc)
+    return w, sc, (data.xty[j] - float(w @ qty)) / math.sqrt(sc)
+
+
+def _fold(data: Dataset, state: SubsetState, cols, support) -> SubsetState:
+    """State for the sorted `support`: the Schur step over `cols`, in
+    order, from the fit of `state`.  Once a pivot fails (or `state` is
+    deficient) the support is deficient, so the fold stops and one SVD
+    gives the RSS of all of it."""
+    order, chol, qty, rss = state.order, state.chol, state.qty, state.rss
+    for j in cols:
+        step = None if chol is None else _schur_step(order, chol, qty, j, data)
+        if step is None:
+            return SubsetState(support, np.asarray(support, dtype=np.intp),
+                               None, None, residual_ss(data, support))
+        w, sc, t_new = step
+        s, old = len(order), chol
+        chol = np.zeros((s + 1, s + 1))
+        chol[:s, :s] = old
+        chol[s, :s] = w
+        chol[s, s] = math.sqrt(sc)
+        order = np.concatenate((order, (j,)))
+        qty = np.concatenate((qty, (t_new,)))
+        rss = max(rss - t_new * t_new, 0.0)
+    return SubsetState(support, order, chol, qty, rss)
 
 
 def peek_rss_add(state: SubsetState, j: int, data: Dataset) -> float:
@@ -151,11 +161,11 @@ def peek_rss_add(state: SubsetState, j: int, data: Dataset) -> float:
 
     Returns the dense-fallback value when the extension is rank-deficient.
     """
-    step = None if state.chol is None else _schur_step(state, j, data)
+    step = None if state.chol is None else _schur_step(
+        state.order, state.chol, state.qty, j, data)
     if step is None:
         return residual_ss(data, state.support + (j,))
-    t_new = step[2]
-    return max(state.rss - t_new * t_new, 0.0)
+    return max(state.rss - step[2] * step[2], 0.0)
 
 
 def update_add(state: SubsetState, j: int, data: Dataset) -> SubsetState:
@@ -164,34 +174,21 @@ def update_add(state: SubsetState, j: int, data: Dataset) -> SubsetState:
     j = int(j)
     if j in state.support:
         raise DomainError(f"column {j} already in support")
-    support = _check_subset(state.support + (j,), data.p)
-    step = None if state.chol is None else _schur_step(state, j, data)
-    if step is None:
-        return SubsetState(support, np.asarray(support, dtype=np.intp),
-                           None, None, residual_ss(data, support))
-    w, sc, t_new = step
-    rss = max(state.rss - t_new * t_new, 0.0)
-
-    s = state.size
-    chol = np.zeros((s + 1, s + 1))
-    chol[:s, :s] = state.chol
-    chol[s, :s] = w
-    chol[s, s] = math.sqrt(sc)
-    qty = np.concatenate((state.qty, (t_new,)))
-    order = np.concatenate((state.order, (j,)))
-    return SubsetState(support, order, chol, qty, rss)
+    return _fold(data, state, (j,),
+                 _check_subset(state.support + (j,), data.p))
 
 
 def update_remove(state: SubsetState, j: int, data: Dataset) -> SubsetState:
     """State for support - {j}: keeps the factor rows before j (copied, so a
     cached state never pins its parent's arrays) and re-appends the columns
-    after j with update_add.  A rank-deficient state is rebuilt, since
+    after j with the Schur step.  A rank-deficient state is rebuilt, since
     dropping a column can restore full rank."""
     j = int(j)
     if j not in state.support:
         raise DomainError(f"column {j} not in support")
+    support = tuple(v for v in state.support if v != j)
     if state.chol is None:
-        return make_state(data, tuple(v for v in state.support if v != j))
+        return make_state(data, support)
     k = int(np.nonzero(state.order == j)[0][0])
     rss = data.yty
     for t in state.qty[:k]:
@@ -199,9 +196,7 @@ def update_remove(state: SubsetState, j: int, data: Dataset) -> SubsetState:
     prefix = state.order[:k].copy()
     new = SubsetState(tuple(sorted(prefix.tolist())), prefix,
                       state.chol[:k, :k].copy(), state.qty[:k].copy(), rss)
-    for v in state.order[k + 1:]:
-        new = update_add(new, v, data)
-    return new
+    return _fold(data, new, state.order[k + 1:], support)
 
 
 def _svd_fit(data: Dataset, supports: np.ndarray):

@@ -194,6 +194,11 @@ class TestFitCommand:
     def test_missing_file_exit_code(self, capsys):
         assert main(["fit", "/nonexistent/file.csv"]) == 2
 
+    def test_negative_seed_exit_code(self, planted_csv, capsys):
+        path = planted_csv[0]
+        assert main(["fit", str(path), "--sigma", "0.3", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
 
 class TestLassoCommand:
     def test_fit_and_exit_zero(self, planted_csv, capsys):
@@ -272,6 +277,12 @@ class TestDiagnoseCommand:
         captured = capsys.readouterr()
         assert captured.out == "" and "--s" in captured.err
 
+    def test_negative_seed_exit_code(self, planted_csv, capsys):
+        path = planted_csv[0]
+        assert main(["diagnose", str(path), "--s", "2", "--mode", "mc",
+                     "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
     def test_mc_mode_beyond_exhaustive_cap(self, tmp_path, rng, capsys):
         n, p = 100, 200
         path = tmp_path / "wide.csv"
@@ -333,6 +344,16 @@ class TestExperimentCommand:
         assert main(["experiment", "--spec", str(spec), "--out", str(out),
                      "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        spec = tmp_path / "run.spec"
+        spec.write_text("n=30\np=10\ns_star=2\nreps=2\nt0=20\nt=40\n"
+                        "methods=lasso\ntune_reps=0\nseed=-3\n")
+        out = tmp_path / "o"
+        assert main(["experiment", "--spec", str(spec),
+                     "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_spec_exit_code(self, tmp_path):

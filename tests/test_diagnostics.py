@@ -191,6 +191,14 @@ class TestRestrictedSingularValues:
             with pytest.raises(DomainError):
                 max_restricted_singular(d, 2, mode="mc", samples=samples)
 
+    def test_mc_negative_seed_rejected(self, rng):
+        d = Dataset(rng.standard_normal((20, 6)), rng.standard_normal(20))
+        for scan in (min_restricted_singular, max_restricted_singular):
+            with pytest.raises(DomainError, match="seed"):
+                scan(d, 2, mode="mc", seed=-1)
+        with pytest.raises(DomainError, match="seed"):
+            min_fullrank_singular_estimate(d, seed=-1)
+
     def test_sample_blocks_equal_one_shot_draw(self, monkeypatch):
         p, s, count = 13, 4, 7
         u = np.random.default_rng(5).random((count, p))

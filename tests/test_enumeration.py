@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -106,6 +107,37 @@ class TestBatchedRss:
         assert max(gathered) <= 4096 and len(gathered) > len(cases) * 10
         # the wide design's root alone has 100 children of ~100 entries
         assert sum(depth == 0 for depth, _ in sizes) > len(cases) * 3
+
+    def test_stream_forms_every_subset_once(self, rng):
+        X = rng.standard_normal((30, 100))
+        X[:, 40] = X[:, 2]
+        wide = Dataset(X, rng.standard_normal(30))
+        for d, s_max in [(d, 4) for d in designs(rng)] + [(wide, 3)]:
+            fits = _subset_fits(d, s_max)
+            got = {}
+            for rows, rss, beta, full in enumeration._walk_fits(
+                    d, enumeration._bordered_gram(d), s_max):
+                assert rows.shape == beta.shape and rss.shape == (len(rows),)
+                got.setdefault(rows.shape[1], []).append(
+                    (rows, rss, beta, np.full(len(rows), full)))
+            assert sorted(got) == list(range(1, s_max + 1))
+            for k, parts in got.items():
+                rows, rss, beta, full = (np.concatenate(a)
+                                         for a in zip(*parts))
+                at = subset_rank(rows, d.p)
+                np.testing.assert_array_equal(np.sort(at),
+                                              np.arange(math.comb(d.p, k)))
+                want = fits[k]
+                np.testing.assert_array_equal(rss, want[0][at])
+                np.testing.assert_array_equal(beta, want[1][at])
+                # on the wide design only rows with 2 or 40 can be deficient
+                check = (np.isin(rows, (2, 40)).any(axis=1) if d is wide
+                         else np.ones(len(rows), dtype=bool))
+                assert full[~check].all()
+                assert full[check].tolist() == [
+                    make_state(d, J).full_rank for J in rows[check]]
+            if d is wide:
+                assert not fits[2][2][subset_rank((2, 40), d.p)]
 
     def test_gather_gram_blocks(self, small_data):
         subs = subset_index_array(small_data.p, 3)[::11]

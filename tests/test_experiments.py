@@ -254,6 +254,10 @@ class TestSpecParsing:
         with pytest.raises(DomainError):
             ExperimentSpec(n=10, p=5, sparsity=2, **bad)
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match="seed"):
+            ExperimentSpec(n=10, p=5, sparsity=2, seed=-3)
+
     @pytest.mark.parametrize("key,value", [("lasso_a_grid", (-1.0, 2.0)),
                                            ("lasso_a_grid", (0.0,)),
                                            ("lasso_a_grid", (math.nan,)),

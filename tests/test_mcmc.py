@@ -356,3 +356,8 @@ class TestChainConfigValidation:
             ChainConfig(move_mix=(0.7, 0.7))
         with pytest.raises(DomainError):
             ChainConfig(chains=2, trace_path="x.csv")
+
+    def test_negative_seed_rejected(self):
+        # SeedSequence would raise a bare ValueError once the chain starts
+        with pytest.raises(DomainError, match="seed"):
+            ChainConfig(seed=-1)

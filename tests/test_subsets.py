@@ -277,8 +277,8 @@ class TestIncrementalUpdates:
         assert st.rss == 0.0
 
     def test_deficient_fold_solves_once(self, rng, monkeypatch):
-        # a failed pivot decides the rank: after the SVD of the failing
-        # prefix, the later columns need none but the one for all of J
+        # a failed pivot decides the rank: the fold stops there, and the
+        # one SVD is the one for all of J
         import ewselect.subsets as subsets
         X = rng.standard_normal((30, 12))
         X[:, 1] = X[:, 0]
@@ -293,7 +293,7 @@ class TestIncrementalUpdates:
         monkeypatch.setattr(subsets, "residual_ss", counting)
         st = make_state(d, range(12))
         assert not st.full_rank
-        assert calls == [(0, 1), tuple(range(12))]
+        assert calls == [tuple(range(12))]
         assert st.rss == real(d, range(12))
 
     def test_update_preconditions(self, small_data):
