@@ -22,8 +22,8 @@ from .diagnostics import design_report
 from .errors import (DomainError, NonFiniteError, NotConvergedError,
                      SingularError, TooLargeError)
 from .experiments import emit, parse_spec_file, run_experiment
-from .mcmc import (ChainConfig, default_threshold, posterior_mean, run_chain,
-                   threshold_coefficients)
+from .mcmc import (MOVES, ChainConfig, default_threshold, posterior_mean,
+                   run_chain, threshold_coefficients)
 from .priors import PosteriorConfig, practical_lambda
 
 EXIT_OK = 0
@@ -113,6 +113,10 @@ def _cmd_fit(args) -> int:
     beta, support = threshold_coefficients(mean, tau)
     print(f"selected support: {list(support)}", file=sys.stderr)
     print(f"acceptance rate: {acc.accept_rate:.4f}", file=sys.stderr)
+    moves = ", ".join(f"{name} {k}/{a}" for name, k, a in
+                      zip(MOVES, acc.moves_proposed, acc.moves_accepted))
+    print(f"moves (proposed/accepted): {moves}; window-scanned steps "
+          f"{acc.window_steps}", file=sys.stderr)
     _write_coefficients(beta, scales, sys.stdout)
     return EXIT_OK
 

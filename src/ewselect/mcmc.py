@@ -9,6 +9,19 @@ memoizes log-weights by support bitmask, and the current state's removals
 by column: a remove flip's candidate is a swap's intermediate, so both read
 one removal, built once per stay.  Memoization only caches deterministic
 quantities, so the sampled law is identical to the plain kernel.
+
+Nearly every step is a rejection, so a stay on one support lasts hundreds
+of steps, and the uniforms that fix its proposals are drawn in advance.
+Once a stay outlasts its scalar head, _scan decodes a window of those
+proposals with numpy, scores them all from the stay's subsets.Neighbours,
+and rejects in bulk every step before the first one that may be accepted
+within the scores' rounding slack; the scalar step takes that step.
+Windows leave the law of the chain unchanged, and they take the steps
+scalar steps alone would take, reading the random stream in the same
+order, except possibly after a tie to within rounding at a scalar step
+that reads the log-weight memo: windows do not fill the memo, and a
+memoized log-weight's last bits depend on the base it was first computed
+from.
 """
 
 from __future__ import annotations
@@ -22,12 +35,17 @@ import numpy as np
 from .data import Dataset
 from .errors import DomainError
 from .priors import PosteriorConfig, log_prior_table
-from .subsets import (SubsetState, _check_subset, least_squares_min_norm,
-                      make_state, peek_rss_add, update_add, update_remove)
+from .subsets import (Neighbours, SubsetState, _check_subset,
+                      least_squares_min_norm, make_state, peek_rss_add,
+                      update_add, update_remove)
 
 VISIT_CAP = 100_000        # most distinct supports kept in the histogram
-LOGW_CACHE_CAP = 200_000   # memoized per-support log-weights
+LOGW_CACHE_CAP = 1024      # memoized log-weights; more saved < 0.2 % of peeks
 _BLOCK = 16384
+_HEAD = 128               # scalar steps at the start of every stay
+_WINDOW = 1024            # steps a window scans at most
+# step kinds, indexed by (add >= 0) + 2 * (drop >= 0)
+MOVES = ("none", "add", "drop", "swap")
 
 
 @dataclass(frozen=True)
@@ -55,9 +73,7 @@ class ChainConfig:
             raise DomainError("samples must be >= 1")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
-        pf, ps = self.move_mix
-        if pf < 0 or ps < 0 or abs(pf + ps - 1.0) > 1e-12:
-            raise DomainError("move_mix must be nonnegative and sum to 1")
+        object.__setattr__(self, "move_mix", _check_move_mix(self.move_mix))
         if self.chains < 1:
             raise DomainError("chains must be >= 1")
         if self.trace_path is not None and self.chains != 1:
@@ -66,7 +82,14 @@ class ChainConfig:
 
 @dataclass
 class ChainAccumulators:
-    """Running sums and records produced by a chain run."""
+    """Running sums and records produced by a chain run.
+
+    moves_proposed / moves_accepted count the steps by the move they
+    propose, in MOVES order; a "none" step proposes nothing (a flip past
+    the support cap, or a swap from the empty or full support), so the
+    counts sum to `proposals` and `accepted`.  window_steps counts the
+    steps that windows rejected in bulk; the rest were scalar steps.
+    """
 
     p: int
     samples: int
@@ -78,11 +101,28 @@ class ChainAccumulators:
     visit_overflow: int
     accepted: int
     proposals: int
+    moves_proposed: np.ndarray
+    moves_accepted: np.ndarray
+    window_steps: int
     chains: int = 1
 
     @property
     def accept_rate(self) -> float:
         return self.accepted / self.proposals if self.proposals else 0.0
+
+
+def _check_move_mix(move_mix) -> tuple[float, float]:
+    """(flip, swap) probabilities: two finite, nonnegative numbers summing
+    to 1, or DomainError."""
+    try:
+        pf, ps = move_mix
+        pf, ps = float(pf), float(ps)
+    except (TypeError, ValueError):
+        raise DomainError("move_mix must be two numbers") from None
+    # NaN fails every comparison, and an infinite entry misses the sum
+    if not (pf >= 0 and ps >= 0 and abs(pf + ps - 1.0) <= 1e-12):
+        raise DomainError("move_mix must be nonnegative and sum to 1")
+    return pf, ps
 
 
 def default_threshold(sigma: float, n: int, p: int) -> float:
@@ -128,7 +168,8 @@ def mh_step(state: SubsetState, data: Dataset, pcfg: PosteriorConfig, rng,
     so it consumes `rng` differently from run_chain's blocked draws, with
     the same transition law.
     """
-    return _walk(data, pcfg, state, 1, 0, move_mix, rng, 1, None)[0]
+    return _walk(data, pcfg, state, 1, 0, _check_move_mix(move_mix), rng, 1,
+                 None)[0]
 
 
 def _initial_support(data: Dataset, pcfg: PosteriorConfig, init) -> tuple[int, ...]:
@@ -159,7 +200,15 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     the last `samples` steps).  Uniforms are drawn `block` at a time.  A
     proposal drops column `drop` and/or adds `add` (-1: none) to its base,
     `state` or the memoized removal of `drop`; an accepted move keeps only
-    the new state's one known removal, its base less `add`."""
+    the new state's one known removal, its base less `add`.
+
+    The first _HEAD steps on a state are scalar steps, and so is every
+    step on a rank-deficient state.  Past them, _scan rejects runs of
+    steps in windows that never cross a block, and the scalar step takes
+    the step a window stops at, so every acceptance, dense fallback and
+    pool refill is a scalar step and the uniforms are consumed in the
+    same order either way.
+    """
     p = data.p
     sbar = min(pcfg.max_support, p)
     lp = log_prior_table(p, pcfg)
@@ -179,8 +228,10 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     mean_sum = np.zeros(p)
     restr_sum = np.zeros(p)
     best_support, best_lw = state.support, lw_cur
-    accepted = 0
     run_len = 0
+    proposed = [0] * len(MOVES)
+    accepted = [0] * len(MOVES)
+    window_steps = 0
 
     pool = rng.random(block)
     pool_i = 0
@@ -201,6 +252,9 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
         else:
             visit_overflow += n_steps
 
+    def draw():
+        return rng.random(block), rng.random(block), np.log(rng.random(block))
+
     def base(drop: int) -> SubsetState:
         if drop < 0:
             return state
@@ -209,71 +263,165 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
             out = removals[drop] = update_remove(state, drop, data)
         return out
 
-    for t in range(total):
-        i = t % block
-        if i == 0:
-            move_u = rng.random(block)
-            coord_u = rng.random(block)
-            logacc = np.log(rng.random(block))
-        size = len(state.support)
-        drop = add = -1
-        if move_u[i] < p_flip:
-            j = int(coord_u[i] * p)
-            cand_mask = mask ^ (1 << j)
-            if (mask >> j) & 1:
-                drop = j
-            elif size < sbar:
-                add = j
-        elif 0 < size < p:
-            drop = state.support[int(coord_u[i] * size)]
-            while True:
-                if pool_i >= block:
-                    pool = rng.random(block)
-                    pool_i = 0
-                add = int(pool[pool_i] * p)
-                pool_i += 1
-                if not (mask >> add) & 1:
-                    break
-            cand_mask = mask ^ (1 << drop) ^ (1 << add)
+    t = 0
+    stay_start = 0     # the step that reached the current state
+    scores = None      # its Neighbours, built by the first window
+    drawn = -1         # the block start whose uniforms a window drew
+    while t < total:
+        if t - stay_start >= _HEAD and state.chol is not None:
+            i = t % block
+            if i == 0:
+                move_u, coord_u, logacc = draw()
+                drawn = t
+            span = min(_WINDOW, block - i, total - t)
+            if scores is None:
+                scores = Neighbours(state, data)
+            n, kinds, pool_i = _scan(state, scores, p, lp, twos2, lw_cur,
+                                     p_flip, sbar, move_u[i:i + span],
+                                     coord_u[i:i + span], logacc[i:i + span],
+                                     pool, pool_i)
+            proposed = [a + b for a, b in zip(proposed, kinds)]
+            window_steps += n
+            if trace_rows is not None:
+                size = state.size
+                trace_rows.extend((s, size, lw_cur, 0)
+                                  for s in range(t, t + n))
+            run_len += max(0, t + n - max(t, burn))
+            t += n
+            if n == span:
+                continue
+            stop = t + 1
+        elif state.chol is None:
+            stop = total
+        else:
+            stop = min(total, stay_start + _HEAD)
 
-        acc_flag = False
-        if drop >= 0 or add >= 0:
-            lw_c = logws.get(cand_mask)
-            if lw_c is None:
-                b = base(drop)
-                rss_c = b.rss if add < 0 else peek_rss_add(b, add, data)
-                lw_c = float(lp[cand_mask.bit_count()]) - rss_c / twos2
-                if len(logws) < LOGW_CACHE_CAP:
-                    logws[cand_mask] = lw_c
-            if lw_c - lw_cur > logacc[i]:
-                acc_flag = True
-                accepted += 1
-                b = base(drop)
-                new_state = b if add < 0 else update_add(b, add, data)
-                removals.clear()
-                if add >= 0:
-                    removals[add] = b
-                if t >= burn:
-                    flush(run_len)
-                run_len = 0
-                mask = cand_mask
-                state = new_state
-                lw_cur = lw_c
-                if lw_cur > best_lw:
-                    best_support, best_lw = state.support, lw_cur
+        for t in range(t, stop):
+            i = t % block
+            if i == 0 and t != drawn:
+                move_u, coord_u, logacc = draw()
+            size = len(state.support)
+            drop = add = -1
+            if move_u[i] < p_flip:
+                j = int(coord_u[i] * p)
+                cand_mask = mask ^ (1 << j)
+                if (mask >> j) & 1:
+                    drop = j
+                elif size < sbar:
+                    add = j
+            elif 0 < size < p:
+                drop = state.support[int(coord_u[i] * size)]
+                while True:
+                    if pool_i >= block:
+                        pool = rng.random(block)
+                        pool_i = 0
+                    add = int(pool[pool_i] * p)
+                    pool_i += 1
+                    if not (mask >> add) & 1:
+                        break
+                cand_mask = mask ^ (1 << drop) ^ (1 << add)
+            kind = (add >= 0) + 2 * (drop >= 0)
+            proposed[kind] += 1
 
-        if t >= burn:
-            run_len += 1
-        if trace_rows is not None:
-            trace_rows.append((t, len(state.support), lw_cur, int(acc_flag)))
+            acc_flag = False
+            if kind:
+                lw_c = logws.get(cand_mask)
+                if lw_c is None:
+                    b = base(drop)
+                    rss_c = b.rss if add < 0 else peek_rss_add(b, add, data)
+                    lw_c = float(lp[cand_mask.bit_count()]) - rss_c / twos2
+                    if len(logws) < LOGW_CACHE_CAP:
+                        logws[cand_mask] = lw_c
+                if lw_c - lw_cur > logacc[i]:
+                    acc_flag = True
+                    accepted[kind] += 1
+                    b = base(drop)
+                    new_state = b if add < 0 else update_add(b, add, data)
+                    removals.clear()
+                    if add >= 0:
+                        removals[add] = b
+                    if t >= burn:
+                        flush(run_len)
+                    run_len = 0
+                    mask = cand_mask
+                    state = new_state
+                    # from the state's own RSS: the bits of lw_c depend on
+                    # the base it was memoized from
+                    lw_cur = float(lp[state.size]) - state.rss / twos2
+                    if lw_cur > best_lw:
+                        best_support, best_lw = state.support, lw_cur
+
+            if t >= burn:
+                run_len += 1
+            if trace_rows is not None:
+                trace_rows.append((t, len(state.support), lw_cur,
+                                   int(acc_flag)))
+            if acc_flag:
+                stay_start = t + 1
+                scores = None
+                break
+        t += 1
 
     flush(run_len)
     return state, ChainAccumulators(
         p=p, samples=samples, mean_sum=mean_sum, restricted_sum=restr_sum,
         best_support=best_support, best_log_weight=best_lw,
         visit_counts=visits, visit_overflow=visit_overflow,
-        accepted=accepted, proposals=total, chains=1,
+        accepted=sum(accepted), proposals=total, chains=1,
+        moves_proposed=np.array(proposed), moves_accepted=np.array(accepted),
+        window_steps=window_steps,
     )
+
+
+def _scan(state: SubsetState, scores: Neighbours, p: int, lp, twos2: float,
+          lw_cur: float, p_flip: float, sbar: int, move_u, coord_u, logacc,
+          pool, pool_i: int):
+    """Count the rejections that open a window of steps from the full-rank
+    `state`, scoring at once every proposal the window's uniforms fix.
+
+    Returns (n, kinds, pool_i): steps 0..n-1 are rejections, proposing
+    each of the MOVES `kinds` times and leaving the swap pool at `pool_i`.
+    Unless n is the window's length, step n is left to the scalar step:
+    a proposal that may be accepted within the scores' rounding slack
+    (every one the scorer finds rank-deficient), or a swap whose pool entry
+    needs a refill.
+    """
+    size = state.size
+    member = np.zeros(p, dtype=bool)
+    member[state.order] = True
+    flip = move_u < p_flip
+    col = (coord_u * p).astype(np.intp)
+    hit = member[col]
+    drops = np.where(flip & hit, col, -1)
+    adds = np.where(flip & ~hit & (size < sbar), col, -1)
+    end = len(move_u)
+    swaps = np.flatnonzero(~flip) if 0 < size < p else np.empty(0, np.intp)
+    if len(swaps):
+        # a swap reads pool entries until one falls off the support; the
+        # first 2 per swap nearly always suffice, else read all that are left
+        cand = (pool[pool_i:pool_i + 2 * len(swaps) + 32] * p).astype(np.intp)
+        free = np.flatnonzero(~member[cand])
+        if len(free) < len(swaps):
+            cand = (pool[pool_i:] * p).astype(np.intp)
+            free = np.flatnonzero(~member[cand])
+        if len(free) < len(swaps):
+            end = int(swaps[len(free)])
+            swaps = swaps[:len(free)]
+        drops[swaps] = np.asarray(state.support)[
+            (coord_u[swaps] * size).astype(np.intp)]
+        adds[swaps] = cand[free[:len(swaps)]]
+    drops, adds = drops[:end], adds[:end]
+    rss, slack = scores.rss(drops, adds)
+    new_size = size - (drops >= 0) + (adds >= 0)
+    stops = ((drops >= 0) | (adds >= 0)) & (
+        lp[new_size] - rss / twos2 - lw_cur > logacc[:end] - slack / twos2)
+    n = int(np.argmax(stops)) if stops.any() else end
+    taken = np.count_nonzero(swaps < n)
+    if taken:
+        pool_i += int(free[taken - 1]) + 1
+    kinds = np.bincount((adds[:n] >= 0) + 2 * (drops[:n] >= 0),
+                        minlength=len(MOVES))
+    return n, kinds.tolist(), pool_i
 
 
 def _merge(parts: list[ChainAccumulators]) -> ChainAccumulators:
@@ -295,6 +443,9 @@ def _merge(parts: list[ChainAccumulators]) -> ChainAccumulators:
         out.visit_overflow += acc.visit_overflow
         out.accepted += acc.accepted
         out.proposals += acc.proposals
+        out.moves_proposed += acc.moves_proposed
+        out.moves_accepted += acc.moves_accepted
+        out.window_steps += acc.window_steps
         out.chains += acc.chains
     return out
 

@@ -144,7 +144,17 @@ class TestFitCommand:
         code = main(["fit", str(path), "--sigma", str(sigma),
                      "--t0", "500", "--t", "1500", "--seed", "7"])
         assert code == 0
-        out = capsys.readouterr().out
+        out, err = capsys.readouterr()
+        # one line counts the 2000 steps by move and the windows' share
+        (line,) = [s for s in err.splitlines() if s.startswith("moves")]
+        counts = re.findall(r"(\w+) (\d+)/(\d+)", line)
+        assert [name for name, _, _ in counts] == ["none", "add", "drop",
+                                                   "swap"]
+        assert sum(int(k) for _, k, _ in counts) == 2000
+        rate = float(re.search(r"acceptance rate: (\S+)", err).group(1))
+        assert sum(int(a) for *_, a in counts) / 2000 == pytest.approx(
+            rate, abs=1e-4)
+        assert 0 <= int(line.rsplit(" ", 1)[1]) <= 2000
         rows = list(csv.DictReader(io.StringIO(out)))
         got = {int(r["index"]): float(r["coefficient"]) for r in rows}
         assert set(got) == {0, 1}

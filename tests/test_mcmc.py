@@ -12,6 +12,9 @@ from ewselect import (ChainConfig, Dataset, DomainError, PosteriorConfig,
                       make_state, map_refit, mh_step, posterior_mean,
                       practical_lambda, restricted_posterior_mean, run_chain,
                       threshold_coefficients)
+from ewselect.mcmc import MOVES
+from ewselect.priors import log_prior_table
+from ewselect.subsets import Neighbours, peek_rss_add
 
 from conftest import planted_instance
 
@@ -46,6 +49,44 @@ def walk_removals(monkeypatch, data, cfg, start, steps, rng, block=1024):
     mcmc._walk(data, cfg, make_state(data, start), 0, steps, (0.5, 0.5), rng,
                block, rows)
     return built, rows
+
+
+def dependent_design():
+    """(25, 12) design whose column 7 repeats column 3 and whose column 9
+    is 3 - 2 * 5, with the response on columns 3 and 5: stays on (3, 5)
+    propose rank-deficient adds."""
+    rng = np.random.default_rng(45)
+    X = rng.standard_normal((25, 12))
+    X[:, 7] = X[:, 3]
+    X[:, 9] = X[:, 3] - 2.0 * X[:, 5]
+    y = 1.2 * X[:, 3] - X[:, 5] + 0.5 * rng.standard_normal(25)
+    return Dataset(X, y, 0.5)
+
+
+def windowed_and_scalar(monkeypatch, data, cfg, start, steps, mix, block,
+                        make_rng):
+    """The chain kernel run twice on equal streams, scanning windows from
+    the first step of every stay (_HEAD 0) and taking scalar steps only:
+    [(trace rows, accumulators, rank flags the scorer raised)] in that
+    order."""
+    import ewselect.mcmc as mcmc
+    out = []
+    for head in (0, 10 ** 9):
+        flags = []
+
+        class Spy(Neighbours):
+            def rss(self, drops, adds):
+                rss, slack = super().rss(drops, adds)
+                flags.append(int(np.isinf(slack).sum()))
+                return rss, slack
+
+        monkeypatch.setattr(mcmc, "_HEAD", head)
+        monkeypatch.setattr(mcmc, "Neighbours", Spy)
+        rows = []
+        acc = mcmc._walk(data, cfg, make_state(data, start), steps // 5,
+                         steps - steps // 5, mix, make_rng(), block, rows)[1]
+        out.append((rows, acc, sum(flags)))
+    return out
 
 
 class TestMhStep:
@@ -248,6 +289,18 @@ class TestRunChain:
         ((base, k),) = peeked
         assert k == 0 and base is built[0][3]
 
+    def test_move_counts_sum_to_steps(self):
+        data, _ = planted_instance(39, 30, 60, [1.0, -0.8], sigma=0.6)
+        cfg = PosteriorConfig(lam=practical_lambda(60), max_support=3,
+                              sigma2=data.sigma ** 2)
+        acc = run_chain(data, cfg, ChainConfig(burn_in=500, samples=4000,
+                                               seed=2, chains=2))
+        assert acc.moves_proposed.sum() == acc.proposals == 9000
+        assert acc.moves_accepted.sum() == acc.accepted > 0
+        assert acc.moves_accepted[MOVES.index("none")] == 0
+        assert np.all(acc.moves_accepted <= acc.moves_proposed)
+        assert 0 < acc.window_steps < acc.proposals
+
     def test_multi_chain_merges_deterministically(self):
         data, _ = planted_instance(34, 25, 8, [1.0, -0.8], sigma=0.9)
         cfg = PosteriorConfig(lam=practical_lambda(8), max_support=4,
@@ -325,6 +378,154 @@ class TestRunChain:
         np.testing.assert_array_equal(beta, least_squares_min_norm(data, sup))
 
 
+class ScriptedRng:
+    """Stands in for a Generator: random(size) returns the next scripted
+    draw, which must have that size."""
+
+    def __init__(self, script):
+        self.draws = iter(script)
+
+    def random(self, size):
+        out = np.asarray(next(self.draws))
+        assert out.shape == (size,)
+        return out
+
+
+def flip_script(p, steps):
+    """Block-1 draws for a chain of flips of steps[k] = (column, acceptance
+    uniform) under move_mix (1, 0)."""
+    script = [[0.5]]                     # the swap pool, never read
+    for col, u in steps:
+        script += [[0.0], [(col + 0.5) / p], [u]]
+    return script
+
+
+def uniform_with_log(t):
+    """A uniform whose log, as the kernel takes it, is exactly t (t < -1,
+    where the logs of neighbouring doubles are no coarser than t's)."""
+    u = math.exp(t)
+    for _ in range(64):
+        log_u = np.log(np.array([u]))[0]
+        if log_u == t:
+            return u
+        u = np.nextafter(u, math.inf if log_u < t else -math.inf)
+    raise AssertionError(f"no uniform has log {t!r}")
+
+
+class TestWindows:
+    """Windows only bulk-reject what the scalar step would reject: the
+    kernel takes the same steps with and without them."""
+
+    DESIGNS = {
+        "40x15": lambda: planted_instance(50, 40, 15, [1.0, -0.8],
+                                          sigma=0.7)[0],
+        "30x60": lambda: planted_instance(51, 30, 60, [1.2, 1.0, -0.9],
+                                          sigma=0.8)[0],
+        "100x200": lambda: planted_instance(52, 100, 200, [1.0] * 5,
+                                            sigma=0.75)[0],
+        "25x12dep": dependent_design,
+    }
+
+    CASES = [
+        ("40x15", (0.5, 0.5), 16384, 6, ()),
+        ("40x15", (0.8, 0.2), 64, 6, (0, 1)),
+        ("40x15", (1.0, 0.0), 16384, 1, ()),        # the cap rejects adds
+        ("30x60", (0.0, 1.0), 3, 5, (0, 1, 2)),
+        ("30x60", (1.0, 0.0), 16384, 5, ()),
+        ("30x60", (0.5, 0.5), 1, 5, (0, 1, 2)),
+        ("100x200", (0.5, 0.5), 64, 50, ()),
+        ("100x200", (0.8, 0.2), 1, 50, (0, 1, 2, 3, 4)),
+        ("100x200", (0.0, 1.0), 16384, 50, (0, 1, 2, 3, 7)),
+        ("25x12dep", (0.5, 0.5), 16384, 6, (3, 5)),
+        ("25x12dep", (0.0, 1.0), 64, 6, (3, 5)),
+        ("25x12dep", (1.0, 0.0), 3, 6, (3, 5)),
+    ]
+
+    @pytest.mark.parametrize(
+        "design, mix, block, cap, start", CASES,
+        ids=[f"{d}-flip{m[0]}-block{b}-cap{c}" for d, m, b, c, _ in CASES])
+    def test_windows_take_the_scalar_steps(self, monkeypatch, design, mix,
+                                           block, cap, start):
+        data = self.DESIGNS[design]()
+        cfg = PosteriorConfig(lam=practical_lambda(data.p), max_support=cap,
+                              sigma2=data.sigma ** 2)
+        (rows_w, acc_w, flags), (rows_s, acc_s, _) = windowed_and_scalar(
+            monkeypatch, data, cfg, start, 3000, mix, block,
+            lambda: np.random.default_rng(8))
+        assert [(r[1], r[3]) for r in rows_w] == [(r[1], r[3])
+                                                  for r in rows_s]
+        assert acc_w.visit_counts == acc_s.visit_counts
+        assert acc_w.accepted == acc_s.accepted
+        assert np.array_equal(acc_w.mean_sum, acc_s.mean_sum)
+        assert np.array_equal(acc_w.moves_proposed, acc_s.moves_proposed)
+        assert np.array_equal(acc_w.moves_accepted, acc_s.moves_accepted)
+        assert acc_w.window_steps > 1000 and acc_s.window_steps == 0
+        if design == "25x12dep":
+            assert flags > 0
+        if cap == 1:
+            assert acc_w.moves_proposed[MOVES.index("none")] > 0
+
+    def test_near_ties_go_to_the_scalar_step(self, monkeypatch):
+        # one add to (0, 1), with the acceptance log-uniform at its gain in
+        # log-weight as the scalar step computes it, or as the scorer does.
+        # Where the scorer's is lower, the scalar step accepts at it and the
+        # bare score would reject: the window must leave that step alone.
+        data = self.DESIGNS["40x15"]()
+        cfg = PosteriorConfig(lam=practical_lambda(data.p), max_support=6,
+                              sigma2=data.sigma ** 2)
+        lp = log_prior_table(data.p, cfg)
+
+        def lw(size, rss):      # as the kernel weighs a support
+            return float(lp[size]) - rss / (2.0 * cfg.sigma2)
+
+        st = make_state(data, (0, 1))
+        cur = lw(2, st.rss)
+        cols = list(range(2, data.p))
+        scored, _ = Neighbours(st, data).rss([-1] * len(cols), cols)
+        lower = 0
+        for j, rss in zip(cols, scored):
+            gain = lw(3, peek_rss_add(st, j, data)) - cur
+            lower += lw(3, rss) - cur < gain
+            for t in {lw(3, rss) - cur, gain}:
+                script = flip_script(data.p, [(j, uniform_with_log(t))])
+                (_, acc_w, _), (_, acc_s, _) = windowed_and_scalar(
+                    monkeypatch, data, cfg, (0, 1), 1, (1.0, 0.0), 1,
+                    lambda: ScriptedRng(script))
+                assert acc_s.accepted == int(gain > t)
+                assert acc_w.accepted == acc_s.accepted
+        assert lower > 0
+
+    def test_pool_runs_out_inside_a_window(self, monkeypatch):
+        # four swaps from (1, 3) that all drop column 1 and are rejected
+        # (log-uniforms of ~690): the first reads pool entries 0 (column 1,
+        # on the support) and 1, the second entry 2, and the third entry 3
+        # (column 3, on the support) and then the refill.  The window stops
+        # before the third swap, the scalar step draws the refill, and a
+        # one-step window, the block's last step, takes the fourth swap;
+        # the scripted draws must be read in this order, and all of them.
+        data, _ = planted_instance(41, 20, 6, [1.0, -0.8], sigma=0.5)
+        cfg = PosteriorConfig(lam=2.0, max_support=4, sigma2=data.sigma ** 2)
+        script = [[c / 6 + 0.01 for c in (1, 0, 2, 3)],   # swap add pool
+                  [0.99] * 4,                             # moves: swaps
+                  [0.25] * 4,                             # member 0: col 1
+                  [1e300] * 4,                            # acceptance
+                  [c / 6 + 0.01 for c in (4, 5, 0, 2)]]   # pool refill
+
+        rngs = []
+
+        def scripted():
+            rngs.append(ScriptedRng(script))
+            return rngs[-1]
+
+        (rows_w, acc_w, _), (rows_s, acc_s, _) = windowed_and_scalar(
+            monkeypatch, data, cfg, (1, 3), 4, (0.5, 0.5), 4, scripted)
+        assert rows_w == rows_s
+        assert [next(r.draws, None) for r in rngs] == [None, None]
+        assert [r[3] for r in rows_w] == [0] * 4
+        assert acc_w.window_steps == 3          # steps 0, 1 and 3
+        assert acc_w.moves_proposed[MOVES.index("swap")] == 4
+
+
 class TestThreshold:
     def test_zero_tau_keeps_nonzeros(self):
         beta = np.array([0.0, -0.4, 0.0, 2.0])
@@ -356,6 +557,17 @@ class TestChainConfigValidation:
             ChainConfig(move_mix=(0.7, 0.7))
         with pytest.raises(DomainError):
             ChainConfig(chains=2, trace_path="x.csv")
+
+    @pytest.mark.parametrize("mix", [
+        (math.nan, math.nan), (0.5,), (0.5, 0.5, 0.0), (math.inf, -math.inf),
+        (-0.5, 1.5), (0.5, None), "ab"])
+    def test_move_mix_is_two_finite_probabilities(self, mix):
+        with pytest.raises(DomainError, match="move_mix"):
+            ChainConfig(move_mix=mix)
+        data, cfg = flat_posterior_data(p=4)
+        with pytest.raises(DomainError, match="move_mix"):
+            mh_step(make_state(data, (0,)), data, cfg,
+                    np.random.default_rng(0), move_mix=mix)
 
     def test_negative_seed_rejected(self):
         # SeedSequence would raise a bare ValueError once the chain starts

@@ -8,7 +8,8 @@ from ewselect import (Dataset, DomainError, NonFiniteError, empty_state,
                       least_squares_min_norm, make_state, rescale_columns,
                       residual_ss, update_add, update_remove)
 from ewselect.enumeration import _subset_fits
-from ewselect.subsets import EPS_RANK, _tri_solve, peek_rss_add
+from ewselect.subsets import (EPS_RANK, _ROUNDING, Neighbours, _tri_solve,
+                              peek_rss_add)
 
 from conftest import normalized_gaussian
 
@@ -413,6 +414,72 @@ class TestExactStates:
             for name in ("order", "chol", "qty"):
                 assert not np.shares_memory(getattr(out, name),
                                             getattr(st, name))
+
+
+class TestNeighbours:
+    """The batched scorer against the states update_remove / update_add
+    build: every add, drop and swap of a few full-rank states."""
+
+    @staticmethod
+    def scored_and_built(d, st):
+        out = [j for j in range(d.p) if j not in st.support]
+        moves = [(-1, j) for j in out]
+        built = [update_add(st, j, d) for j in out]
+        for i in st.support:
+            rem = update_remove(st, i, d)
+            moves += [(i, -1)] + [(i, j) for j in out]
+            built += [rem] + [update_add(rem, j, d) for j in out]
+        drops, adds = zip(*moves)
+        rss, slack = Neighbours(st, d).rss(drops, adds)
+        return rss, slack, built
+
+    @pytest.mark.parametrize("design", ["gram_free", "exact", "gaussian"])
+    def test_scores_match_built_states(self, rng, design):
+        d = (TestGramFreeStep().wide_design(rng) if design == "gram_free"
+             else TestExactStates.wide_design(rng) if design == "exact"
+             else Dataset(rng.standard_normal((25, 12)),
+                          rng.standard_normal(25)))
+        tol = 1e-12 * (1.0 + d.yty)
+        flagged = 0
+        for cols in [(), (5,), (3, 0, 5), (9, 3, 1, 5, 11),
+                     (10, 4, 3, 6, 2, 8, 5, 0)]:
+            st = empty_state(d)
+            for j in cols:
+                st = update_add(st, j, d)
+            st = update_remove(st, cols[-1], d) if len(cols) > 4 else st
+            assert st.full_rank
+            rss, slack, built = self.scored_and_built(d, st)
+            deficient = np.isinf(slack)
+            assert deficient.tolist() == [not b.full_rank for b in built]
+            for r, bound, b in zip(rss, slack, built):
+                if b.full_rank:
+                    assert abs(r - b.rss) <= min(tol, bound)
+            flagged += int(deficient.sum())
+        # 7 repeats 3 and 12 is 3 - 2 * 5 in both wide designs
+        assert (flagged > 0) == (design != "gaussian")
+
+    @pytest.mark.parametrize("delta", [1e-2, 1e-3, 1e-4])
+    def test_slack_bounds_ill_conditioned_gaps(self, rng, delta):
+        # column 7 is 3 and column 9 is 3 - 2 * 5, each plus delta-sized
+        # noise: supports holding them are full rank but ill-conditioned,
+        # and at delta 1e-4 the gaps outgrow the slack's scale 5 times over
+        X = rng.standard_normal((30, 14))
+        X[:, 7] = X[:, 3] + delta * rng.standard_normal(30)
+        X[:, 9] = X[:, 3] - 2.0 * X[:, 5] + delta * rng.standard_normal(30)
+        d = Dataset(X, 1.2 * X[:, 3] - X[:, 5] + rng.standard_normal(30))
+        worst = 0.0
+        for cols in [(3,), (3, 7), (3, 5, 9), (1, 3, 7, 9), (5, 7, 9)]:
+            st = make_state(d, cols)
+            assert st.full_rank
+            rss, slack, built = self.scored_and_built(d, st)
+            assert np.isinf(slack).tolist() == [not b.full_rank
+                                                for b in built]
+            for r, bound, b in zip(rss, slack, built):
+                if b.full_rank:
+                    assert abs(r - b.rss) <= bound
+                    worst = max(worst, abs(r - b.rss))
+        if delta == 1e-4:
+            assert worst > _ROUNDING * (1.0 + d.yty)
 
 
 class TestSplitProjectionBound:
