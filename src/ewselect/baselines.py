@@ -14,8 +14,8 @@ import numpy as np
 from .data import Dataset
 from .enumeration import _penalized_scan, check_cap, subset_count
 from .errors import DomainError, NotConvergedError, SingularError
-from .subsets import (EPS_RANK, _check_subset, _tri_solve,
-                      least_squares_min_norm, residual_ss)
+from .subsets import (EPS_RANK, _check_subset, least_squares_min_norm,
+                      residual_ss)
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ class LassoConfig:
     def __post_init__(self):
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise DomainError("lam must be finite and >= 0")
-        if self.max_iter < 1 or self.tol <= 0:
+        if self.max_iter < 1 or not self.tol > 0:
             raise DomainError("need max_iter >= 1 and tol > 0")
 
 
@@ -289,7 +289,8 @@ def _solve_spd(psi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         raise SingularError("X_S'X_S/n is not positive definite") from None
     if np.min(np.diag(L)) ** 2 <= EPS_RANK:
         raise SingularError("X_S'X_S/n is numerically rank-deficient")
-    return _tri_solve(L, _tri_solve(L, rhs), trans=1)
+    linv = np.linalg.inv(L)
+    return linv.T @ (linv @ rhs)
 
 
 def estimate_noise_variance(data: Dataset) -> float:

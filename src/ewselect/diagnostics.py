@@ -250,8 +250,8 @@ def signal_strength_threshold(sigma: float, lam: float, n: int, nu: float) -> fl
     reliably prefers the true support."""
     if nu <= 0:
         raise DomainError("nu must be positive")
-    if sigma < 0 or lam < 0 or n < 1:
-        raise DomainError("need sigma >= 0, lam >= 0, n >= 1")
+    if not (0 <= sigma < math.inf and 0 <= lam < math.inf) or n < 1:
+        raise DomainError("need finite sigma >= 0, finite lam >= 0, n >= 1")
     return 3.0 * sigma * math.sqrt(lam / n) / nu
 
 

@@ -134,7 +134,7 @@ def default_threshold(sigma: float, n: int, p: int) -> float:
 
 def threshold_coefficients(beta, tau: float):
     """Zero out entries with |beta_j| <= tau; returns (sparse beta, support)."""
-    if tau < 0:
+    if not tau >= 0:
         raise DomainError("tau must be >= 0")
     beta = np.asarray(beta, dtype=np.float64)
     keep = np.abs(beta) > tau
@@ -268,7 +268,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     scores = None      # its Neighbours, built by the first window
     drawn = -1         # the block start whose uniforms a window drew
     while t < total:
-        if t - stay_start >= _HEAD and state.chol is not None:
+        if t - stay_start >= _HEAD and state.linv is not None:
             i = t % block
             if i == 0:
                 move_u, coord_u, logacc = draw()
@@ -291,7 +291,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
             if n == span:
                 continue
             stop = t + 1
-        elif state.chol is None:
+        elif state.linv is None:
             stop = total
         else:
             stop = min(total, stay_start + _HEAD)

@@ -1,13 +1,15 @@
 """Incremental least-squares machinery over column subsets.
 
-A SubsetState is the least-squares fit on one support J: the Cholesky
-factor of X_J'X_J in insertion `order`, the RSS, and whether X_J has full
-column rank.  Every full-rank state is, bit for bit, the fold of update_add's
-Schur step over its `order`: an add appends one row, and a removal re-appends
-the columns after the removed one in O(n |J|^2), so no update error builds
-up.  Rank-deficient supports (Schur pivot rule) fall back to dense
-minimum-norm evaluation, so every subset of columns is a valid state.  The
-chain, the MAP refit and the l0 refit all read these states; the prior
+A SubsetState is the least-squares fit on one support J: the inverse of the
+Cholesky factor of X_J'X_J in insertion `order`, the RSS, and whether X_J
+has full column rank.  Keeping the inverse factor makes every triangular
+solve a matrix product.  Every full-rank state is, bit for bit, the fold of
+update_add's Schur step over its `order`: an add appends one row, and a
+removal keeps the leading block (the inverse of the factor's leading block)
+and re-appends the columns after the removed one in O(n |J|^2), so no update
+error builds up.  Rank-deficient supports (Schur pivot rule) fall back to
+dense minimum-norm evaluation, so every subset of columns is a valid state.
+The chain, the MAP refit and the l0 refit all read these states; the prior
 weight of a support is the caller's business.  Neighbours scores every
 add, drop and swap of one full-rank state at once, for the chain's
 windows.
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from .data import Dataset
 from .errors import DomainError
@@ -29,22 +30,6 @@ EPS_RANK = 1e-10
 # Neighbours' bound on its rounding gap, per unit of (1 + y'y) and of the
 # condition bound
 _ROUNDING = 1e-10
-
-
-def _tri_solve(L: np.ndarray, b: np.ndarray, trans: int = 0) -> np.ndarray:
-    """x with L x = b (trans 0) or L' x = b (trans 1) for a C-ordered lower
-    triangular L, straight through LAPACK trtrs.
-
-    trtrs reads Fortran order, so it gets L' as an upper factor with the
-    transpose flag flipped, which is what scipy.linalg.solve_triangular
-    does for C-ordered input; the result is the same to the bit, without
-    that wrapper's per-call validation.
-    """
-    x, info = dtrtrs(L.T, b, lower=0, trans=1 - trans)
-    if info != 0:
-        raise np.linalg.LinAlgError(
-            f"triangular solve failed (trtrs info {info})")
-    return x
 
 
 def _check_subset(J, p) -> tuple[int, ...]:
@@ -65,21 +50,22 @@ class SubsetState:
         Active column indices, strictly increasing.
     order : ndarray
         The same indices in factorization (insertion) order.
-    chol : ndarray or None
-        Lower Cholesky factor of X_J' X_J in `order`; None when the
-        columns are numerically dependent.
+    linv : ndarray or None
+        L^-1, the inverse of the lower Cholesky factor L of X_J' X_J in
+        `order` (itself lower triangular); None when the columns are
+        numerically dependent.
     qty : ndarray or None
-        chol^{-1} X_J' y, so that rss = y'y - ||qty||^2.
+        linv X_J' y, so that rss = y'y - ||qty||^2.
     rss : float
         Residual sum of squares of the least-squares fit on the support.
     """
 
-    __slots__ = ("support", "order", "chol", "qty", "rss", "_beta")
+    __slots__ = ("support", "order", "linv", "qty", "rss", "_beta")
 
-    def __init__(self, support, order, chol, qty, rss):
+    def __init__(self, support, order, linv, qty, rss):
         self.support = support
         self.order = order
-        self.chol = chol
+        self.linv = linv
         self.qty = qty
         self.rss = rss
         self._beta = None
@@ -90,18 +76,18 @@ class SubsetState:
 
     @property
     def full_rank(self) -> bool:
-        return self.chol is not None or self.size == 0
+        return self.linv is not None or self.size == 0
 
     def beta_sparse(self, data: Dataset):
         """Least-squares coefficients as (indices, values), cached: the
-        triangular solves on the factor, or the minimum-norm SVD fit when
-        the support is rank-deficient."""
+        product linv' qty, or the minimum-norm SVD fit when the support is
+        rank-deficient."""
         if self._beta is None:
             if self.size == 0:
                 idx = np.empty(0, dtype=np.intp)
                 val = np.empty(0)
-            elif self.chol is not None:
-                val = _tri_solve(self.chol, self.qty, trans=1)
+            elif self.linv is not None:
+                val = self.linv.T @ self.qty
                 idx = self.order
             else:
                 idx = np.asarray(self.support, dtype=np.intp)
@@ -126,12 +112,11 @@ def make_state(data: Dataset, J) -> SubsetState:
     return _fold(data, empty_state(data), support, support)
 
 
-def _schur_step(order, chol, qty, j: int, data: Dataset):
-    """(new factor row, squared pivot, new qty entry) for appending column j
-    to the full-rank fit (order, chol, qty); None when the pivot falls under
-    the rank rule."""
-    w = (_tri_solve(chol, data.xt[order] @ data.xt[j]) if len(order)
-         else np.empty(0))   # trtrs rejects an empty factor
+def _schur_step(order, linv, qty, j: int, data: Dataset):
+    """(w = L^-1 X_J'x_j, squared pivot, new qty entry) for appending column
+    j to the full-rank fit (order, linv, qty); None when the pivot falls
+    under the rank rule."""
+    w = linv @ (data.xt[order] @ data.xt[j])
     sc = float(data.col_sq[j] - w @ w)
     if sc <= EPS_RANK * data.n:
         return None
@@ -143,22 +128,23 @@ def _fold(data: Dataset, state: SubsetState, cols, support) -> SubsetState:
     order, from the fit of `state`.  Once a pivot fails (or `state` is
     deficient) the support is deficient, so the fold stops and one SVD
     gives the RSS of all of it."""
-    order, chol, qty, rss = state.order, state.chol, state.qty, state.rss
+    order, linv, qty, rss = state.order, state.linv, state.qty, state.rss
     for j in cols:
-        step = None if chol is None else _schur_step(order, chol, qty, j, data)
+        step = None if linv is None else _schur_step(order, linv, qty, j, data)
         if step is None:
             return SubsetState(support, np.asarray(support, dtype=np.intp),
                                None, None, residual_ss(data, support))
         w, sc, t_new = step
-        s, old = len(order), chol
-        chol = np.zeros((s + 1, s + 1))
-        chol[:s, :s] = old
-        chol[s, :s] = w
-        chol[s, s] = math.sqrt(sc)
+        # L gains the row (w', sqrt(sc)), so L^-1 gains (-w'L^-1, 1) / sqrt(sc)
+        s, old, root = len(order), linv, math.sqrt(sc)
+        linv = np.zeros((s + 1, s + 1))
+        linv[:s, :s] = old
+        linv[s, :s] = -(w @ old) / root
+        linv[s, s] = 1.0 / root
         order = np.concatenate((order, (j,)))
         qty = np.concatenate((qty, (t_new,)))
         rss = max(rss - t_new * t_new, 0.0)
-    return SubsetState(support, order, chol, qty, rss)
+    return SubsetState(support, order, linv, qty, rss)
 
 
 def peek_rss_add(state: SubsetState, j: int, data: Dataset) -> float:
@@ -166,8 +152,8 @@ def peek_rss_add(state: SubsetState, j: int, data: Dataset) -> float:
 
     Returns the dense-fallback value when the extension is rank-deficient.
     """
-    step = None if state.chol is None else _schur_step(
-        state.order, state.chol, state.qty, j, data)
+    step = None if state.linv is None else _schur_step(
+        state.order, state.linv, state.qty, j, data)
     if step is None:
         return residual_ss(data, state.support + (j,))
     return max(state.rss - step[2] * step[2], 0.0)
@@ -178,8 +164,8 @@ class Neighbours:
     drops one column of it, adds one column, or both.
 
     With w_j = L^-1 X_J'x_j for every column j (one product with X, one
-    triangular solve), adding j leaves the pivot d_j = ||x_j||^2 -
-    ||w_j||^2 and takes (x_j'r)^2 / d_j off the RSS, where x_j'r = X'y_j -
+    with L^-1), adding j leaves the pivot d_j = ||x_j||^2 - ||w_j||^2 and
+    takes (x_j'r)^2 / d_j off the RSS, where x_j'r = X'y_j -
     w_j'qty.  Dropping the column at position i of `order` puts back g_i^2,
     where g_i = a_i'qty for the normalized column a_i of L^-1; a swap then
     adds j against the pivot d_j + h^2 and the product x_j'r + h g_i, where
@@ -203,12 +189,11 @@ class Neighbours:
         self.pos = np.zeros(data.p, dtype=np.intp)
         k = state.size
         if k:
-            self.dmin = float(np.min(np.diag(state.chol))) ** 2
+            linv = state.linv
+            self.dmin = float(np.max(np.diag(linv))) ** -2
             self.pos[state.order] = np.arange(k)
-            sol = _tri_solve(state.chol, np.concatenate(
-                (data.xt[state.order] @ data.xt.T, np.eye(k)), axis=1))
-            W, a = sol[:, :data.p], sol[:, data.p:]
-            a /= np.sqrt(np.einsum("ki,ki->i", a, a))
+            W = linv @ (data.xt[state.order] @ data.xt.T)
+            a = linv / np.sqrt(np.einsum("ki,ki->i", linv, linv))
             self.piv = data.col_sq - np.einsum("kp,kp->p", W, W)
             self.num = data.xty - state.qty @ W
             self.g = state.qty @ a
@@ -252,15 +237,16 @@ def update_add(state: SubsetState, j: int, data: Dataset) -> SubsetState:
 
 
 def update_remove(state: SubsetState, j: int, data: Dataset) -> SubsetState:
-    """State for support - {j}: keeps the factor rows before j (copied, so a
-    cached state never pins its parent's arrays) and re-appends the columns
-    after j with the Schur step.  A rank-deficient state is rebuilt, since
-    dropping a column can restore full rank."""
+    """State for support - {j}: keeps the rows of linv before j, the inverse
+    of the factor's leading block (copied, so a cached state never pins its
+    parent's arrays), and re-appends the columns after j with the Schur
+    step.  A rank-deficient state is rebuilt, since dropping a column can
+    restore full rank."""
     j = int(j)
     if j not in state.support:
         raise DomainError(f"column {j} not in support")
     support = tuple(v for v in state.support if v != j)
-    if state.chol is None:
+    if state.linv is None:
         return make_state(data, support)
     k = int(np.nonzero(state.order == j)[0][0])
     rss = data.yty
@@ -268,7 +254,7 @@ def update_remove(state: SubsetState, j: int, data: Dataset) -> SubsetState:
         rss = max(rss - t * t, 0.0)
     prefix = state.order[:k].copy()
     new = SubsetState(tuple(sorted(prefix.tolist())), prefix,
-                      state.chol[:k, :k].copy(), state.qty[:k].copy(), rss)
+                      state.linv[:k, :k].copy(), state.qty[:k].copy(), rss)
     return _fold(data, new, state.order[k + 1:], support)
 
 
@@ -289,10 +275,10 @@ def _svd_fit(data: Dataset, supports: np.ndarray):
 def least_squares_min_norm(data: Dataset, J) -> np.ndarray:
     """Minimum-Euclidean-norm least-squares fit supported on J, embedded in R^p.
 
-    The fit of make_state(data, J): triangular solves on the sorted Schur
-    fold when every pivot clears the shared rank rule, otherwise the SVD fit
-    that residual_ss uses, which drops the directions under the same rule,
-    so the fit is unique even when the columns of X_J are dependent.
+    The fit of make_state(data, J): the product linv' qty of the sorted
+    Schur fold when every pivot clears the shared rank rule, otherwise the
+    SVD fit that residual_ss uses, which drops the directions under the same
+    rule, so the fit is unique even when the columns of X_J are dependent.
     """
     beta = np.zeros(data.p)
     idx, val = make_state(data, J).beta_sparse(data)

@@ -322,6 +322,8 @@ class TestNoiseEstimate:
             L0Config(lam=-1.0, max_support=3)
         with pytest.raises(DomainError):
             LassoConfig(lam=-0.5)
+        with pytest.raises(DomainError):
+            LassoConfig(lam=0.5, tol=math.nan)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf])
     def test_non_finite_penalty_rejected(self, lam):

@@ -1,11 +1,15 @@
 import csv
 import io
+import os
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import ewselect
 from ewselect.cli import main, read_dataset_csv
 from ewselect.errors import DomainError, NonFiniteError
 
@@ -19,6 +23,22 @@ def write_dataset_csv(path, X, y):
         w.writerow(["y"] + [f"x{i}" for i in range(1, p + 1)])
         for i in range(X.shape[0]):
             w.writerow([f"{y[i]:.17g}"] + [f"{v:.17g}" for v in X[i]])
+
+
+def test_imports_numpy_only():
+    # numpy is the one dependency: a fresh interpreter that imports the CLI
+    # loads no other third-party package (__mp_main__ is multiprocessing's
+    # alias of the main module)
+    src = os.path.dirname(os.path.dirname(ewselect.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys; before = set(sys.modules); import ewselect.cli; "
+            "print(*{m.partition('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True,
+                         timeout=120).stdout.split()
+    assert set(out) <= {"__mp_main__", "ewselect", "numpy"}
 
 
 @pytest.fixture
@@ -209,6 +229,13 @@ class TestFitCommand:
         assert main(["fit", str(path), "--sigma", "0.3", "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
 
+    def test_nan_threshold_exit_code(self, planted_csv, capsys):
+        path = planted_csv[0]
+        assert main(["fit", str(path), "--sigma", "1", "--t0", "10",
+                     "--t", "10", "--threshold", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tau" in captured.err
+
 
 class TestLassoCommand:
     def test_fit_and_exit_zero(self, planted_csv, capsys):
@@ -292,6 +319,16 @@ class TestDiagnoseCommand:
         assert main(["diagnose", str(path), "--s", "2", "--mode", "mc",
                      "--seed", "-1"]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--sigma", "1", "--lam", "nan"],
+                                       ["--sigma", "nan", "--lam", "1"],
+                                       ["--sigma", "inf", "--lam", "1"]])
+    def test_non_finite_signal_threshold_exit_code(self, planted_csv, capsys,
+                                                   flags):
+        path = planted_csv[0]
+        assert main(["diagnose", str(path), "--s", "2"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
 
     def test_mc_mode_beyond_exhaustive_cap(self, tmp_path, rng, capsys):
         n, p = 100, 200

@@ -298,8 +298,11 @@ class TestSignalThreshold:
         assert got == pytest.approx(float(oracle), rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            signal_strength_threshold(1.0, 5.0, 100, 0.0)
+        for sigma, lam, nu in [(1.0, 5.0, 0.0), (math.nan, 5.0, 0.5),
+                               (math.inf, 5.0, 0.5), (1.0, math.nan, 0.5),
+                               (1.0, math.inf, 0.5)]:
+            with pytest.raises(DomainError):
+                signal_strength_threshold(sigma, lam, 100, nu)
 
 
 class TestCovarianceBounds:

@@ -543,8 +543,9 @@ class TestThreshold:
             2.0 * math.sqrt(2.0 * math.log(200) / 100), rel=1e-14)
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            threshold_coefficients(np.array([1.0]), -0.1)
+        for tau in (-0.1, math.nan):
+            with pytest.raises(DomainError):
+                threshold_coefficients(np.array([1.0]), tau)
 
 
 class TestChainConfigValidation:

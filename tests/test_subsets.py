@@ -2,13 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from ewselect import (Dataset, DomainError, NonFiniteError, empty_state,
                       least_squares_min_norm, make_state, rescale_columns,
                       residual_ss, update_add, update_remove)
 from ewselect.enumeration import _subset_fits
-from ewselect.subsets import (EPS_RANK, _ROUNDING, Neighbours, _tri_solve,
+from ewselect.subsets import (EPS_RANK, _ROUNDING, Neighbours, _schur_step,
                               peek_rss_add)
 
 from conftest import normalized_gaussian
@@ -336,21 +335,6 @@ class TestGramFreeStep:
                 st = update_remove(st, j, d)
         assert deficient == 2      # 7 duplicates 3, 12 depends on 3 and 5
 
-    def test_tri_solve_equals_solve_triangular(self, rng):
-        for k in range(1, 13):
-            M = rng.standard_normal((k + 3, k))
-            L = np.linalg.cholesky(M.T @ M)
-            b = rng.standard_normal(k)
-            for trans in (0, 1):
-                assert np.array_equal(
-                    _tri_solve(L, b, trans),
-                    solve_triangular(L, b, lower=True, trans=trans))
-
-    def test_tri_solve_raises_on_zero_diagonal(self):
-        L = np.array([[1.0, 0.0], [2.0, 0.0]])
-        with pytest.raises(np.linalg.LinAlgError):
-            _tri_solve(L, np.ones(2))
-
 
 class TestExactStates:
     """Every full-rank state is the Cholesky fold of update_add over its own
@@ -382,7 +366,7 @@ class TestExactStates:
             if st.size and (rng.random() < 0.5 or st.size >= 9):
                 j = int(rng.choice(st.support))
                 before = len(calls)
-                was_full = st.chol is not None
+                was_full = st.linv is not None
                 st = update_remove(st, j, d)
                 if was_full:
                     removals += 1
@@ -393,25 +377,54 @@ class TestExactStates:
                 rss = peek_rss_add(st, j, d)
                 st = update_add(st, j, d)
                 assert rss == st.rss
-            if st.chol is None:
+            if st.linv is None:
                 deficient += 1
                 continue
             ref = empty_state(d)
             for v in st.order:
                 ref = update_add(ref, v, d)
             assert ref.support == st.support
-            assert np.array_equal(ref.chol, st.chol)
+            assert np.array_equal(ref.linv, st.linv)
             assert np.array_equal(ref.qty, st.qty)
             assert ref.rss == st.rss
         assert removals > 100
         assert (deficient > 0) == wide
+
+    @pytest.mark.parametrize("design", ["gaussian", "exact", "gram_free"])
+    def test_states_hold_the_inverse_factor(self, rng, design):
+        # linv G_J linv' = I for G_J = X_J'X_J in `order`, and diag(linv)
+        # is 1 / sqrt of each pivot of the fold over `order`
+        d = (TestGramFreeStep().wide_design(rng) if design == "gram_free"
+             else self.wide_design(rng) if design == "exact"
+             else Dataset(rng.standard_normal((25, 12)),
+                          rng.standard_normal(25)))
+        st = empty_state(d)
+        checked = 0
+        for _ in range(200):
+            if st.size and (rng.random() < 0.5 or st.size >= 9):
+                st = update_remove(st, int(rng.choice(st.support)), d)
+            else:
+                st = update_add(st, int(rng.choice(
+                    [k for k in range(d.p) if k not in st.support])), d)
+            for s in (st, make_state(d, st.support)):
+                if s.linv is None:
+                    continue
+                XJ = d.X[:, s.order]
+                np.testing.assert_allclose(s.linv @ (XJ.T @ XJ) @ s.linv.T,
+                                           np.eye(s.size), rtol=0, atol=1e-9)
+                for i, j in enumerate(s.order):
+                    _, sc, _ = _schur_step(s.order[:i], s.linv[:i, :i].copy(),
+                                           s.qty[:i], j, d)
+                    assert s.linv[i, i] == 1.0 / math.sqrt(sc)
+                checked += 1
+        assert checked > 200
 
     def test_removal_copies_the_kept_rows(self, rng):
         d = Dataset(rng.standard_normal((20, 6)), rng.standard_normal(20))
         st = make_state(d, (0, 1, 2, 3))
         for j in (0, 2, 3):
             out = update_remove(st, j, d)
-            for name in ("order", "chol", "qty"):
+            for name in ("order", "linv", "qty"):
                 assert not np.shares_memory(getattr(out, name),
                                             getattr(st, name))
 
