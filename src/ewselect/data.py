@@ -10,7 +10,7 @@ from .errors import DomainError, NonFiniteError
 
 
 def _as_readonly_f64(a, name):
-    out = np.array(a, dtype=np.float64, order="C", copy=True)
+    out = np.array(a, dtype=np.float64, order="F", copy=True)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
     out.setflags(write=False)
@@ -21,11 +21,12 @@ class Dataset:
     """Immutable (X, y) pair, optionally with a known noise scale sigma.
 
     The arrays are copied and marked read-only so a Dataset can be shared
-    freely across threads or subprocesses.  Derived arrays are computed once
-    and cached.  The chain reads only O(np) of them: the transposed copy
-    `xt`, whose rows are the columns of X, and `col_sq`, besides X'y and y'y.
-    The p x p X'X is built only for the exact subset scans (enumeration and
-    diagnostics), which the enumeration cap bounds.
+    freely across threads or subprocesses.  X is held once, column-major, so
+    `xt`, whose rows are the columns of X, is a view of it and not a copy.
+    Derived arrays are computed once and cached.  The chain reads only O(p)
+    of them, `col_sq` and X'y, besides y'y.  The p x p X'X is built only for
+    the exact subset scans (enumeration and diagnostics), which the
+    enumeration cap bounds.
     """
 
     def __init__(self, X, y, sigma: float | None = None):
@@ -57,12 +58,10 @@ class Dataset:
         g.setflags(write=False)
         return g
 
-    @cached_property
+    @property
     def xt(self) -> np.ndarray:
-        """X' as a C-contiguous (p, n) copy, read-only: row j is column j."""
-        t = np.ascontiguousarray(self.X.T)
-        t.setflags(write=False)
-        return t
+        """X' as a C-contiguous (p, n) read-only view: row j is column j."""
+        return self.X.T
 
     @cached_property
     def col_sq(self) -> np.ndarray:
@@ -82,15 +81,9 @@ class Dataset:
     def yty(self) -> float:
         return float(self.y @ self.y)
 
-    @cached_property
-    def column_norms(self) -> np.ndarray:
-        norms = np.linalg.norm(self.X, axis=0)
-        norms.setflags(write=False)
-        return norms
-
     def max_normalization_error(self) -> float:
         """Largest deviation of ||X_j||/sqrt(n) from 1 across columns."""
-        return float(np.max(np.abs(self.column_norms / np.sqrt(self.n) - 1.0)))
+        return float(np.max(np.abs(np.sqrt(self.col_sq) / np.sqrt(self.n) - 1.0)))
 
     def assert_normalized(self, tol: float = 1e-9) -> None:
         err = self.max_normalization_error()

@@ -248,8 +248,8 @@ def is_identifiable(data: Dataset, s_star: int, cap: int | None = None) -> bool:
 def signal_strength_threshold(sigma: float, lam: float, n: int, nu: float) -> float:
     """Coefficient magnitude 3*sigma*sqrt(lam/n)/nu above which the posterior
     reliably prefers the true support."""
-    if nu <= 0:
-        raise DomainError("nu must be positive")
+    if not 0 < nu < math.inf:
+        raise DomainError("nu must be positive and finite")
     if not (0 <= sigma < math.inf and 0 <= lam < math.inf) or n < 1:
         raise DomainError("need finite sigma >= 0, finite lam >= 0, n >= 1")
     return 3.0 * sigma * math.sqrt(lam / n) / nu

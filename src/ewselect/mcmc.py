@@ -127,8 +127,8 @@ def _check_move_mix(move_mix) -> tuple[float, float]:
 
 def default_threshold(sigma: float, n: int, p: int) -> float:
     """Noise-level cutoff sigma * sqrt(2 log(p) / n) for sparsifying a mean fit."""
-    if sigma < 0 or n < 1 or p < 2:
-        raise DomainError("need sigma >= 0, n >= 1, p >= 2")
+    if not 0 <= sigma < math.inf or n < 1 or p < 2:
+        raise DomainError("need finite sigma >= 0, n >= 1, p >= 2")
     return sigma * math.sqrt(2.0 * math.log(p) / n)
 
 

@@ -304,6 +304,11 @@ class TestSignalThreshold:
             with pytest.raises(DomainError):
                 signal_strength_threshold(sigma, lam, 100, nu)
 
+    @pytest.mark.parametrize("nu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_nu_rejected(self, nu):
+        with pytest.raises(DomainError, match="nu"):
+            signal_strength_threshold(1.0, 5.0, 100, nu)
+
 
 class TestCovarianceBounds:
     def test_identity(self):

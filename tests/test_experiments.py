@@ -15,6 +15,17 @@ from ewselect.experiments import load_reps_csv, spec_from_mapping
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def first_difference(name, new, old):
+    """Message naming the first line where two files differ, both versions."""
+    new_lines, old_lines = new.splitlines(), old.splitlines()
+    for i, (a, b) in enumerate(zip(new_lines, old_lines), 1):
+        if a != b:
+            return (f"golden mismatch: {name} line {i}\n"
+                    f"  old: {b.decode()}\n  new: {a.decode()}")
+    return (f"golden mismatch: {name} has {len(new_lines)} lines, "
+            f"golden {len(old_lines)} (or line endings differ)")
+
+
 def tiny_spec(**over):
     base = dict(n=30, p=10, sparsity=2, reps=3, seed=123,
                 chain=ChainConfig(burn_in=300, samples=700), tune_reps=2)
@@ -208,8 +219,9 @@ class TestEmit:
         emit(run_experiment(spec), tmp_path)
         for name in ("reps.csv", "summary.csv", "boxplot_linf.svg",
                      "boxplot_fp.svg", "boxplot_l2.svg"):
-            assert (tmp_path / name).read_bytes() == \
-                (GOLDEN / name).read_bytes(), f"golden mismatch: {name}"
+            new = (tmp_path / name).read_bytes()
+            old = (GOLDEN / name).read_bytes()
+            assert new == old, first_difference(name, new, old)
 
 
 class TestSpecParsing:

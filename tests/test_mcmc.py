@@ -1,4 +1,5 @@
 import csv
+import itertools
 import math
 import tracemalloc
 from collections import Counter
@@ -346,6 +347,22 @@ class TestRunChain:
         assert acc.samples == 2000
         assert peak < 10 * data.X.nbytes
 
+    def test_chain_holds_no_copy_of_x(self):
+        # X is 12.8 MB and the chain reads it through the view data.xt: the
+        # first chain on a fresh dataset allocates O(p |J|), not a second X
+        data, _ = planted_instance(39, 400, 4000, [2.0, -2.0, 2.0], sigma=0.5)
+        cfg = PosteriorConfig(lam=practical_lambda(4000), max_support=10,
+                              sigma2=data.sigma ** 2)
+        tracemalloc.start()
+        try:
+            acc = run_chain(data, cfg, ChainConfig(burn_in=0, samples=2000,
+                                                   seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert acc.samples == 2000
+        assert peak < 0.5 * data.X.nbytes
+
     def test_explicit_init_validised(self):
         data, _ = planted_instance(36, 20, 6, [1.0], sigma=1.0)
         cfg = PosteriorConfig(lam=2.0, max_support=2, sigma2=1.0)
@@ -466,10 +483,12 @@ class TestWindows:
             assert acc_w.moves_proposed[MOVES.index("none")] > 0
 
     def test_near_ties_go_to_the_scalar_step(self, monkeypatch):
-        # one add to (0, 1), with the acceptance log-uniform at its gain in
-        # log-weight as the scalar step computes it, or as the scorer does.
-        # Where the scorer's is lower, the scalar step accepts at it and the
-        # bare score would reject: the window must leave that step alone.
+        # every add to every full-rank start of size 1-3 whose gain in
+        # log-weight the scorer rounds below the scalar step's gain (below
+        # -1, where a uniform has either gain as its log), with the
+        # acceptance log-uniform at either gain.  The scalar step accepts at
+        # the scorer's and the bare score would reject: the window must leave
+        # that step alone.
         data = self.DESIGNS["40x15"]()
         cfg = PosteriorConfig(lam=practical_lambda(data.p), max_support=6,
                               sigma2=data.sigma ** 2)
@@ -478,22 +497,29 @@ class TestWindows:
         def lw(size, rss):      # as the kernel weighs a support
             return float(lp[size]) - rss / (2.0 * cfg.sigma2)
 
-        st = make_state(data, (0, 1))
-        cur = lw(2, st.rss)
-        cols = list(range(2, data.p))
-        scored, _ = Neighbours(st, data).rss([-1] * len(cols), cols)
-        lower = 0
-        for j, rss in zip(cols, scored):
-            gain = lw(3, peek_rss_add(st, j, data)) - cur
-            lower += lw(3, rss) - cur < gain
-            for t in {lw(3, rss) - cur, gain}:
+        ties = []
+        for k in (1, 2, 3):
+            for start in itertools.combinations(range(data.p), k):
+                st = make_state(data, start)
+                if not st.full_rank:
+                    continue
+                cur = lw(k, st.rss)
+                cols = [j for j in range(data.p) if j not in start]
+                scored, _ = Neighbours(st, data).rss([-1] * len(cols), cols)
+                for j, rss in zip(cols, scored):
+                    gain = lw(k + 1, peek_rss_add(st, j, data)) - cur
+                    score = lw(k + 1, rss) - cur
+                    if score < gain < -1.0:
+                        ties.append((start, j, gain, score))
+        assert ties
+        for start, j, gain, score in ties:
+            for t in {score, gain}:
                 script = flip_script(data.p, [(j, uniform_with_log(t))])
                 (_, acc_w, _), (_, acc_s, _) = windowed_and_scalar(
-                    monkeypatch, data, cfg, (0, 1), 1, (1.0, 0.0), 1,
+                    monkeypatch, data, cfg, start, 1, (1.0, 0.0), 1,
                     lambda: ScriptedRng(script))
                 assert acc_s.accepted == int(gain > t)
                 assert acc_w.accepted == acc_s.accepted
-        assert lower > 0
 
     def test_pool_runs_out_inside_a_window(self, monkeypatch):
         # four swaps from (1, 3) that all drop column 1 and are rejected
@@ -546,6 +572,11 @@ class TestThreshold:
         for tau in (-0.1, math.nan):
             with pytest.raises(DomainError):
                 threshold_coefficients(np.array([1.0]), tau)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_sigma_must_be_finite_and_nonnegative(self, sigma):
+        with pytest.raises(DomainError, match="sigma"):
+            default_threshold(sigma, 100, 200)
 
 
 class TestChainConfigValidation:

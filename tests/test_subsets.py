@@ -37,6 +37,12 @@ class TestDataset:
         with pytest.raises(ValueError):
             small_data.X[0, 0] = 5.0
 
+    def test_x_is_stored_once(self, small_data):
+        X, xt = small_data.X, small_data.xt
+        assert np.shares_memory(xt, X)
+        assert X.flags.f_contiguous and not X.flags.writeable
+        assert xt.flags.c_contiguous and not xt.flags.writeable
+
     def test_normalization_check(self, rng):
         X = normalized_gaussian(rng, 20, 6)
         d = Dataset(X, rng.standard_normal(20))
