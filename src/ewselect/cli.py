@@ -8,9 +8,16 @@ Exit codes: 0 success, 2 validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import codecs
 import csv
+import io
 import math
+import mmap
+import multiprocessing
+import os
+import re
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -35,19 +42,247 @@ def _g17(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def read_dataset_csv(path, sigma=None, rescale=False):
-    """Load columns y, x1..xp from a CSV file with a header row.
+# Data rows are parsed in byte blocks of at least this size, one block per
+# usable CPU, every block but the first in a forked child.  A child costs
+# about 5 ms (fork, shared buffer, join) and 17-digit cells parse at about
+# 60 MB/s on one core: on a 2-vCPU host, two blocks lost to one at 0.1 and
+# 0.25 MB of rows (5.7 vs 2.0 ms, 8.0 vs 4.4 ms), broke even near 0.5 MB,
+# and won from 1 MB on (2.5 MB: 41 vs 70 ms; 20 MB: 0.26 vs 0.50 s).
+_BLOCK_BYTES = 1 << 20
 
-    The header is parsed with the csv module; the numeric rows go through
-    numpy's C reader in one call (optional double quotes, blank lines
-    skipped, no comment character). Returns (Dataset, scales); scales is
-    None unless rescale is set, in which case coefficients on the rescaled
-    design divide by scales to return to original units.
+# Bytes read at a time while finding the header and the cuts, and the
+# buffer size of each block's stream.
+_CHUNK = 1 << 16
+
+_LINE_END = re.compile(rb"\r\n?|\n")
+_QUOTE_OR_LINE_END = re.compile(rb'"|\r\n?|\n')
+
+# Blocks that the last read_dataset_csv call parsed, for fit's phase line.
+_last_read_blocks = 0
+
+
+class _Span(io.RawIOBase):
+    """Raw stream of `head`, then at most `size` bytes of the open raw file
+    `raw` from its current position (all of the rest when size is None)."""
+
+    def __init__(self, raw, size=None, head=b""):
+        self._raw, self._left, self._head = raw, size, head
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        with memoryview(buf) as view:
+            if self._head:
+                k = min(len(view), len(self._head))
+                view[:k] = self._head[:k]
+                self._head = self._head[k:]
+                return k
+            if self._left is None:
+                return self._raw.readinto(view)
+            k = self._raw.readinto(view[:self._left])
+        self._left -= k
+        return k
+
+
+def _parse_block(raw, size=None, head=b""):
+    """Parse the data rows of `_Span(raw, size, head)` into a 2-d table.
+
+    The bytes are decoded as strict UTF-8 and streamed line by line into
+    numpy's C reader: LF, CR LF and CR end a line, cells may be
+    double-quoted, blank lines are skipped and nothing is a comment.
     """
-    with open(path, newline="") as fh:
-        line = fh.readline()
+    text = io.TextIOWrapper(io.BufferedReader(_Span(raw, size, head), _CHUNK),
+                            encoding="utf-8", newline="")
+    with warnings.catch_warnings():
+        warnings.filterwarnings(
+            "ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(text, delimiter=",", quotechar='"', comments=None,
+                          dtype=np.float64, ndmin=2)
+
+
+def _parse_child(conn, path, start, end, ncols, out):
+    """Forked child: parse bytes [start, end) of path into the shared buffer
+    `out`, column by column, and send back the table's shape or the error."""
+    try:
+        with open(path, "rb", buffering=0) as raw:
+            raw.seek(start)
+            table = _parse_block(raw, end - start)
+        if table.shape[1] == ncols and table.size:
+            np.frombuffer(out, np.float64, table.size).reshape(
+                ncols, -1)[...] = table.T
+        conn.send(table.shape)
+    except Exception as exc:  # the parent raises it in file order
+        conn.send(exc)
+
+
+def _first_line(raw):
+    """Read the header line of the raw binary file; return it with its line
+    end, and the bytes read past it."""
+    buf, pos = bytearray(), 0
+    while True:
+        chunk = raw.read(_CHUNK)
+        buf += chunk
+        m = _LINE_END.search(buf, pos)
+        # a final "\r" may be the first half of "\r\n"
+        if m and (m.end() < len(buf) or m.group() != b"\r" or not chunk):
+            return bytes(buf[:m.end()]), bytes(buf[m.end():])
+        if not chunk:
+            return bytes(buf), b""
+        pos = m.start() if m else len(buf)
+
+
+def _block_count(nbytes):
+    """Blocks to parse nbytes of rows in: one per usable CPU, none under
+    _BLOCK_BYTES, and one where processes cannot be forked."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return max(1, min(cpus, nbytes // _BLOCK_BYTES))
+
+
+def _cuts(raw, start, end, blocks):
+    """Offsets [start, ..., end] that cut bytes [start, end) of the seekable
+    raw file into at most `blocks` parts of about equal size.  Each inner
+    cut falls just after the first line end at or past its target that
+    lies outside double quotes (an even number of quotes precede it).  A
+    quote inside an unquoted cell makes that cell non-numeric, and every
+    cut before such a cell is exact, so its block reports it first."""
+    cuts, pos, odd = [start], start, 0
+    raw.seek(start)
+    for k in range(1, blocks):
+        target = start + (end - start) * k // blocks
+        while pos < target:
+            chunk = raw.read(min(_CHUNK, target - pos))
+            if b'"' in chunk:
+                odd ^= chunk.count(b'"') & 1
+            pos += len(chunk)
+        cut = None
+        while cut is None:
+            chunk = raw.read(_CHUNK)
+            if not chunk:
+                return cuts + [end]
+            for m in _QUOTE_OR_LINE_END.finditer(chunk):
+                if m.group() == b'"':
+                    odd ^= 1
+                elif not odd:
+                    cut = pos + m.end()
+                    if m.group() == b"\r" and m.end() == len(chunk):
+                        cut += raw.read(1) == b"\n"
+                    break
+            else:
+                pos += len(chunk)
+        if cut >= end:
+            break
+        cuts.append(cut)
+        pos = cut
+        raw.seek(cut)
+    return cuts + [end]
+
+
+def _data_error(path, exc, row0):
+    """The DomainError for a block's parse error; row0 data rows precede the
+    block, so numpy's row numbers are shifted to rows of the file."""
+    if isinstance(exc, UnicodeDecodeError):
+        return DomainError(f"{path}: not UTF-8 text ({exc.reason})")
+    if not isinstance(exc, ValueError):
+        return exc
+    msg = re.sub(r"(.*at row )(\d+)",
+                 lambda m: m.group(1) + str(int(m.group(2)) + row0),
+                 str(exc), count=1, flags=re.DOTALL)
+    if "number of columns changed" in msg:
+        return DomainError(f"{path}: ragged rows ({msg})")
+    return DomainError(f"{path}: non-numeric cell ({msg})")
+
+
+def _parse_rows(raw, path, cuts, head, ncols):
+    """Tables of the data rows between successive cuts, in file order.
+
+    The parent parses the first block from raw (preceded by `head`) while
+    a forked child parses each other block into a shared anonymous mmap,
+    column by column; a child reports only its shape or its error, over a
+    pipe.  The first error in file order is raised.  Every child is joined
+    before this returns or raises, and is terminated first if it has not
+    reported.
+    """
+    ctx = multiprocessing.get_context("fork") if len(cuts) > 2 else None
+    children = []
+    try:
+        for start, end in zip(cuts[1:-1], cuts[2:]):
+            # a row of ncols non-empty cells takes at least 2*ncols bytes
+            rows = (end - start + 1) // (2 * ncols)
+            out = mmap.mmap(-1, 8 * ncols * max(rows, 1))
+            recv, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_parse_child,
+                                args=(send, path, start, end, ncols, out))
+            child.start()
+            send.close()
+            children.append((child, recv, out))
+        size = cuts[1] - cuts[0] if children else None
+        tables, row0 = [], 0
+        for k in range(len(cuts) - 1):
+            if k == 0:
+                try:
+                    table = _parse_block(raw, size, head)
+                    shape = table.shape
+                except Exception as exc:
+                    shape = exc
+            else:
+                child, recv, out = children[k - 1]
+                try:
+                    shape = recv.recv()
+                except EOFError:
+                    shape = None
+                child.join()
+                if shape is None:
+                    raise OSError(f"{path}: the reader of bytes {cuts[k]}-"
+                                  f"{cuts[k + 1]} ended without a report "
+                                  f"(exit code {child.exitcode})")
+            if isinstance(shape, BaseException):
+                raise _data_error(path, shape, row0)
+            rows, cols = shape
+            if rows and cols != ncols:
+                raise DomainError(f"{path}: ragged rows")
+            if rows:
+                if k:
+                    table = np.frombuffer(out, np.float64, rows * ncols
+                                          ).reshape(ncols, rows).T
+                tables.append(table)
+            row0 += rows
+        return tables
+    finally:
+        for child, recv, _ in children:
+            if child.exitcode is None:
+                child.terminate()
+            child.join()
+            recv.close()
+
+
+def read_dataset_csv(path, sigma=None, rescale=False):
+    """Load columns y, x1..xp from a UTF-8 CSV file with a header row.
+
+    The header (after an optional byte-order mark) is parsed with the csv
+    module.  The data rows are cut into byte blocks, one per usable CPU
+    and none under _BLOCK_BYTES, that numpy's C reader parses in parallel
+    (see _parse_rows); y and the blocks are gathered into one column-major
+    X.  Returns (Dataset, scales); scales is None unless rescale is set,
+    in which case coefficients on the rescaled design divide by scales to
+    return to original units.
+    """
+    global _last_read_blocks
+    with open(path, "rb", buffering=0) as raw:
+        line, head = _first_line(raw)
+        line = line.removeprefix(codecs.BOM_UTF8)
         if not line:
             raise DomainError(f"{path}: empty file")
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") \
+                from None
         header = [h.strip() for h in next(csv.reader([line]))]
         if len(set(header)) != len(header):
             raise DomainError(f"{path}: repeated column names in header")
@@ -58,24 +293,33 @@ def read_dataset_csv(path, sigma=None, rescale=False):
         if sorted(x_names) != sorted(expected):
             raise DomainError(
                 f"{path}: predictor columns must be x1..x{len(x_names)}, got {x_names}")
-        try:
-            with warnings.catch_warnings():
-                warnings.filterwarnings(
-                    "ignore", "loadtxt: input contained no data", UserWarning)
-                table = np.loadtxt(fh, delimiter=",", quotechar='"',
-                                   comments=None, dtype=np.float64, ndmin=2)
-        except ValueError as exc:
-            if "number of columns changed" in str(exc):
-                raise DomainError(f"{path}: ragged rows ({exc})") from None
-            raise DomainError(f"{path}: non-numeric cell ({exc})") from None
-    if table.shape[0] == 0:
+        cuts = [0, None]  # a pipe: one block, from the bytes past the header
+        if raw.seekable():
+            start = raw.tell() - len(head)
+            end = os.fstat(raw.fileno()).st_size
+            cuts = _cuts(raw, start, end, _block_count(end - start))
+            raw.seek(start)
+            head = b""
+        tables = _parse_rows(raw, path, cuts, head, len(header))
+    _last_read_blocks = len(cuts) - 1
+    n = sum(t.shape[0] for t in tables)
+    if n == 0:
         raise DomainError(f"{path}: no data rows")
-    if table.shape[1] != len(header):
-        raise DomainError(f"{path}: ragged rows")
     column = {name: i for i, name in enumerate(header)}
-    y = table[:, column["y"]].copy()
-    X = table[:, [column[name] for name in expected]]
-    del table  # Dataset copies X, so at most two copies are alive at once
+    ycol = column["y"]
+    xcols = [column[name] for name in expected]
+    if xcols == list(range(xcols[0], xcols[0] + len(xcols))):
+        xcols = slice(xcols[0], xcols[0] + len(xcols))
+    X = np.empty((n, len(expected)), order="F")
+    y = np.empty(n)
+    row0 = 0
+    while tables:
+        table = tables.pop(0)  # frees each block once it is copied
+        rows = table.shape[0]
+        y[row0:row0 + rows] = table[:, ycol]
+        X[row0:row0 + rows] = table[:, xcols]
+        row0 += rows
+        del table
     scales = None
     if rescale:
         X, scales = rescale_columns(X)
@@ -91,8 +335,10 @@ def _write_coefficients(beta, scales, stream):
 
 
 def _cmd_fit(args) -> int:
+    t_read = time.perf_counter()
     data, scales = read_dataset_csv(args.data, sigma=args.sigma,
                                     rescale=args.rescale)
+    t_noise = time.perf_counter()
     sigma = args.sigma
     if sigma is None:
         sigma2 = estimate_noise_variance(data)
@@ -106,17 +352,24 @@ def _cmd_fit(args) -> int:
     pcfg = PosteriorConfig(lam=practical_lambda(data.p, args.lambda_kappa),
                            max_support=cap, sigma2=sigma2)
     ccfg = ChainConfig(burn_in=args.t0, samples=args.t, seed=args.seed)
+    t_chain = time.perf_counter()
     acc = run_chain(data, pcfg, ccfg)
     mean = posterior_mean(acc)
+    t_threshold = time.perf_counter()
     tau = args.threshold if args.threshold is not None \
         else default_threshold(sigma, data.n, data.p)
     beta, support = threshold_coefficients(mean, tau)
+    t_end = time.perf_counter()
     print(f"selected support: {list(support)}", file=sys.stderr)
     print(f"acceptance rate: {acc.accept_rate:.4f}", file=sys.stderr)
     moves = ", ".join(f"{name} {k}/{a}" for name, k, a in
                       zip(MOVES, acc.moves_proposed, acc.moves_accepted))
     print(f"moves (proposed/accepted): {moves}; window-scanned steps "
           f"{acc.window_steps}", file=sys.stderr)
+    print(f"wall seconds: read {t_noise - t_read:.4f} "
+          f"({_last_read_blocks} blocks), noise {t_chain - t_noise:.4f}, "
+          f"chain {t_threshold - t_chain:.4f}, "
+          f"threshold {t_end - t_threshold:.4f}", file=sys.stderr)
     _write_coefficients(beta, scales, sys.stdout)
     return EXIT_OK
 

@@ -1,4 +1,5 @@
 import math
+import multiprocessing
 import sys
 
 import numpy as np
@@ -21,6 +22,14 @@ def planted_instance(seed, n, p, support_values, sigma):
     beta[: len(support_values)] = support_values
     y = X @ beta + sigma * rng.standard_normal(n)
     return Dataset(X, y, sigma), beta
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test that leaves a child process behind: the benchmark
+    refuses runs that do, and the CSV reader joins every child it forks."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture

@@ -1,15 +1,19 @@
 import csv
 import io
+import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 import ewselect
+from ewselect import cli
 from ewselect.cli import main, read_dataset_csv
 from ewselect.errors import DomainError, NonFiniteError
 
@@ -54,6 +58,37 @@ def planted_csv(tmp_path, rng):
     return path, X, y, beta, sigma
 
 
+def use_cpus(m, cpus, chunk=3):
+    """Make read_dataset_csv see `cpus` usable CPUs, cut rows into blocks of
+    a byte or more and find the header and the cuts `chunk` bytes at a
+    time, through the monkeypatch (or its context) m."""
+    m.setattr(cli, "_BLOCK_BYTES", 1)
+    m.setattr(cli, "_CHUNK", chunk)
+    m.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+              raising=False)
+
+
+@pytest.fixture
+def split_blocks(monkeypatch):
+    """Cut the rows of every CSV read into up to four blocks, so a file of
+    more than one row is parsed by forked children."""
+    use_cpus(monkeypatch, 4, chunk=61)
+
+
+def read_blocks(monkeypatch, path, cpus=4):
+    """read_dataset_csv(path) on `cpus` CPUs: (Dataset, blocks parsed)."""
+    with monkeypatch.context() as m:
+        use_cpus(m, cpus)
+        data, _ = read_dataset_csv(path)
+    return data, cli._last_read_blocks
+
+
+def read_error(path):
+    with pytest.raises(DomainError) as info:
+        read_dataset_csv(path)
+    return str(info.value)
+
+
 class TestReadDataset:
     def test_round_trip(self, planted_csv):
         path, X, y, _, _ = planted_csv
@@ -85,6 +120,29 @@ class TestReadDataset:
         data, _ = read_dataset_csv(path)
         assert data.y.tolist() == [1.5, 4.0]
         assert data.X.tolist() == [[2.0, -0.03], [5.0, 6.0]]
+
+    def test_byte_order_mark(self, tmp_path, planted_csv):
+        # spreadsheet exports start with a UTF-8 byte-order mark
+        path = planted_csv[0]
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, _ = read_dataset_csv(path)
+        data, _ = read_dataset_csv(marked)
+        assert np.array_equal(data.X, plain.X)
+        assert np.array_equal(data.y, plain.y)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+    def test_pipe(self):
+        # a pipe cannot seek, so its rows are one block after the header
+        r, w = os.pipe()
+        os.write(w, b"y,x1,x2\r1,2,3\r4,5,6\r")
+        os.close(w)
+        try:
+            data, _ = read_dataset_csv(f"/dev/fd/{r}")
+        finally:
+            os.close(r)
+        assert data.y.tolist() == [1.0, 4.0]
+        assert data.X.tolist() == [[2.0, 3.0], [5.0, 6.0]]
 
     def test_missing_y(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -128,6 +186,93 @@ class TestReadDataset:
         assert peak <= 2.75 * data.X.nbytes
 
 
+@pytest.mark.usefixtures("split_blocks")
+class TestReadDatasetInBlocks(TestReadDataset):
+    """Every TestReadDataset case with the rows cut into blocks."""
+
+
+class TestBlocks:
+    """Rows cut into blocks parse to the one-block arrays and errors."""
+
+    def test_quoted_newline_straddles_a_cut(self, tmp_path, monkeypatch):
+        # the middle target (byte 73 of 146) falls in the quoted cell
+        path = tmp_path / "q.csv"
+        path.write_bytes(b"y,x1\n" + b"1,2\n" * 10 + b'3,"4' + b"\n" * 60
+                         + b'"\n' + b"5,6\n" * 10)
+        one, blocks = read_blocks(monkeypatch, path, cpus=1)
+        assert blocks == 1
+        data, blocks = read_blocks(monkeypatch, path)
+        assert blocks == 4
+        assert data.y.tolist() == [1.0] * 10 + [3.0] + [5.0] * 10
+        assert np.array_equal(data.X, one.X)
+        assert np.array_equal(data.y, one.y)
+
+    @pytest.mark.parametrize("eol", [b"\r", b"\r\n"])
+    def test_line_endings(self, tmp_path, monkeypatch, rng, eol):
+        table = rng.standard_normal((40, 4))
+        rows = [b",".join(b"%.17g" % v for v in row) for row in table]
+        path = tmp_path / "e.csv"
+        path.write_bytes(eol.join([b"y,x1,x2,x3"] + rows[:20] + [b""]
+                                  + rows[20:]) + eol)
+        data, blocks = read_blocks(monkeypatch, path)
+        assert blocks == 4
+        assert np.array_equal(data.y, table[:, 0])
+        assert np.array_equal(data.X, table[:, 1:])
+
+    @pytest.mark.parametrize("bad,category", [(b"4,5", "ragged rows"),
+                                              (b"4,5,x", "non-numeric cell")])
+    def test_error_in_last_block_names_the_file_row(
+            self, tmp_path, monkeypatch, bad, category):
+        # 20 good rows, a blank line, then the bad row inside the last block
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"y,x1,x2\n" + b"1.5,2.5,3.5\n" * 20 + b"\n"
+                         + b"1,2,3\n" + bad + b"\n")
+        with monkeypatch.context() as m:
+            use_cpus(m, 1)
+            whole = read_error(path)
+        with monkeypatch.context() as m:
+            use_cpus(m, 4)
+            split = read_error(path)
+        assert category in split and "at row 2" in split
+        assert split == whole
+
+    @pytest.mark.parametrize("patch", ["one cpu", "no fork"])
+    def test_one_block_makes_no_child(self, planted_csv, monkeypatch, patch):
+        def refuse(*args):
+            raise AssertionError("a child process was started")
+        use_cpus(monkeypatch, 1 if patch == "one cpu" else 4)
+        if patch == "no fork":
+            monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                                lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", refuse)
+        data, _ = read_dataset_csv(planted_csv[0])
+        assert cli._last_read_blocks == 1
+        np.testing.assert_allclose(data.X, planted_csv[1], rtol=1e-15)
+
+    def test_killed_child_raises_and_leaves_no_process(
+            self, planted_csv, split_blocks, monkeypatch, capsys):
+        def killed(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+        monkeypatch.setattr(cli, "_parse_child", killed)
+        with pytest.raises(OSError, match="ended without a report"):
+            read_dataset_csv(planted_csv[0])
+        assert multiprocessing.active_children() == []
+        assert main(["fit", str(planted_csv[0]), "--sigma", "1"]) == 2
+        assert "exit code -9" in capsys.readouterr().err
+
+    def test_parent_error_terminates_children(self, tmp_path, split_blocks,
+                                              monkeypatch):
+        def hang(*args):
+            time.sleep(60)
+        monkeypatch.setattr(cli, "_parse_child", hang)
+        path = tmp_path / "bad.csv"
+        path.write_text("y,x1\n1,frog\n" + "2,3\n" * 30)
+        start = time.perf_counter()
+        assert "non-numeric cell" in read_error(path)
+        assert time.perf_counter() - start < 30
+        assert multiprocessing.active_children() == []
+
+
 BAD_FILES = [
     ("", DomainError, "empty file"),
     ("y,x1,x2\n", DomainError, "no data rows"),
@@ -143,19 +288,30 @@ BAD_FILES = [
     ("y,x1,x2\n1,2,3,4\n", DomainError, "ragged rows"),
     ("y,x1\n1,nan\n2,3\n", NonFiniteError, "NaN or infinite"),
     ("y,x1\n1,2\ninf,3\n", NonFiniteError, "NaN or infinite"),
+    (b"y,x1\xff\n1,2\n", DomainError, "not UTF-8 text"),
+    (b"y,x1\n1,2\n3,4\xff\n", DomainError, "not UTF-8 text"),
 ]
 
 
 @pytest.mark.parametrize("text,exc,message", BAD_FILES)
 def test_bad_file_rejected(tmp_path, capsys, text, exc, message):
     path = tmp_path / "bad.csv"
-    path.write_text(text)
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(exc, match=re.escape(message)):
             read_dataset_csv(path)
         assert main(["fit", str(path), "--sigma", "1"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,exc,message", BAD_FILES)
+def test_bad_file_rejected_in_blocks(split_blocks, tmp_path, capsys, text,
+                                     exc, message):
+    test_bad_file_rejected(tmp_path, capsys, text, exc, message)
 
 
 class TestFitCommand:
@@ -180,6 +336,26 @@ class TestFitCommand:
         assert set(got) == {0, 1}
         assert got[0] == pytest.approx(1.5, abs=0.3)
         assert got[1] == pytest.approx(-1.2, abs=0.3)
+
+    def test_phase_wall_seconds(self, planted_csv, monkeypatch, capsys):
+        # one stderr line times the phases; stdout is the same in blocks
+        path = str(planted_csv[0])
+        argv = ["fit", path, "--sigma", "0.4", "--t0", "200", "--t", "300"]
+        outs = []
+        for cpus in (1, 4):
+            with monkeypatch.context() as m:
+                use_cpus(m, cpus)
+                assert main(argv) == 0
+            out, err = capsys.readouterr()
+            (line,) = [s for s in err.splitlines() if s.startswith("wall")]
+            m = re.fullmatch(r"wall seconds: read (\S+) \((\d+) blocks\), "
+                             r"noise (\S+), chain (\S+), threshold (\S+)",
+                             line)
+            assert m is not None
+            assert int(m.group(2)) == (1 if cpus == 1 else 4)
+            assert all(0 <= float(v) < 60 for v in m.group(1, 3, 4, 5))
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_fit_never_builds_the_gram(self, tmp_path, rng, capsys, no_gram):
         n, p = 60, 400
