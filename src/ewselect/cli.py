@@ -16,6 +16,7 @@ import mmap
 import multiprocessing
 import os
 import re
+import signal
 import sys
 import time
 import warnings
@@ -103,8 +104,10 @@ def _parse_block(raw, size=None, head=b""):
 
 def _parse_child(conn, path, start, end, ncols, out):
     """Forked child: parse bytes [start, end) of path into the shared buffer
-    `out`, column by column, and send back the table's shape or the error."""
+    `out`, column by column, and send back the table's shape or the error.
+    An interrupt is the parent's to handle: it terminates its children."""
     try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
         with open(path, "rb", buffering=0) as raw:
             raw.seek(start)
             table = _parse_block(raw, end - start)
@@ -228,7 +231,7 @@ def _parse_rows(raw, path, cuts, head, ncols):
                 try:
                     table = _parse_block(raw, size, head)
                     shape = table.shape
-                except Exception as exc:
+                except ValueError as exc:
                     shape = exc
             else:
                 child, recv, out = children[k - 1]
@@ -309,7 +312,7 @@ def read_dataset_csv(path, sigma=None, rescale=False):
     ycol = column["y"]
     xcols = [column[name] for name in expected]
     if xcols == list(range(xcols[0], xcols[0] + len(xcols))):
-        xcols = slice(xcols[0], xcols[0] + len(xcols))
+        xcols = slice(xcols[0], xcols[0] + len(xcols))  # no copy per block
     X = np.empty((n, len(expected)), order="F")
     y = np.empty(n)
     row0 = 0
