@@ -2,13 +2,13 @@
 
 Subcommands: fit (single dataset from CSV), experiment (replication sweep
 from a spec file), diagnose (design diagnostics), lasso (one lasso fit).
-Exit codes: 0 success, 2 validation error, 3 numerical failure.
+Exit codes: 0 success, 2 validation error, 3 numerical failure, 130
+interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
 
 import argparse
-import codecs
 import csv
 import io
 import math
@@ -37,6 +37,7 @@ from .priors import PosteriorConfig, practical_lambda
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
 
 
 def _g17(v: float) -> str:
@@ -51,11 +52,10 @@ def _g17(v: float) -> str:
 # and won from 1 MB on (2.5 MB: 41 vs 70 ms; 20 MB: 0.26 vs 0.50 s).
 _BLOCK_BYTES = 1 << 20
 
-# Bytes read at a time while finding the header and the cuts, and the
-# buffer size of each block's stream.
+# Bytes read at a time while finding the cuts, and the buffer size of the
+# header's and each block's stream.
 _CHUNK = 1 << 16
 
-_LINE_END = re.compile(rb"\r\n?|\n")
 _QUOTE_OR_LINE_END = re.compile(rb'"|\r\n?|\n')
 
 # Blocks that the last read_dataset_csv call parsed, for fit's phase line.
@@ -63,38 +63,34 @@ _last_read_blocks = 0
 
 
 class _Span(io.RawIOBase):
-    """Raw stream of `head`, then at most `size` bytes of the open raw file
-    `raw` from its current position (all of the rest when size is None)."""
+    """Raw stream of the next `size` bytes of the open raw file `raw`."""
 
-    def __init__(self, raw, size=None, head=b""):
-        self._raw, self._left, self._head = raw, size, head
+    def __init__(self, raw, size):
+        self._raw, self._left = raw, size
 
     def readable(self):
         return True
 
     def readinto(self, buf):
         with memoryview(buf) as view:
-            if self._head:
-                k = min(len(view), len(self._head))
-                view[:k] = self._head[:k]
-                self._head = self._head[k:]
-                return k
-            if self._left is None:
-                return self._raw.readinto(view)
             k = self._raw.readinto(view[:self._left])
         self._left -= k
         return k
 
 
-def _parse_block(raw, size=None, head=b""):
-    """Parse the data rows of `_Span(raw, size, head)` into a 2-d table.
+def _text(raw):
+    """The raw binary stream `raw` as strict UTF-8 text in which LF, CR LF
+    and a lone CR end a line and are kept."""
+    return io.TextIOWrapper(io.BufferedReader(raw, _CHUNK), encoding="utf-8",
+                            newline="")
 
-    The bytes are decoded as strict UTF-8 and streamed line by line into
-    numpy's C reader: LF, CR LF and CR end a line, cells may be
+
+def _parse_block(text):
+    """Parse the data rows of the text stream into a 2-d table.
+
+    The lines are streamed into numpy's C reader: cells may be
     double-quoted, blank lines are skipped and nothing is a comment.
     """
-    text = io.TextIOWrapper(io.BufferedReader(_Span(raw, size, head), _CHUNK),
-                            encoding="utf-8", newline="")
     with warnings.catch_warnings():
         warnings.filterwarnings(
             "ignore", "loadtxt: input contained no data", UserWarning)
@@ -110,29 +106,13 @@ def _parse_child(conn, path, start, end, ncols, out):
         signal.signal(signal.SIGINT, signal.SIG_IGN)
         with open(path, "rb", buffering=0) as raw:
             raw.seek(start)
-            table = _parse_block(raw, end - start)
+            table = _parse_block(_text(_Span(raw, end - start)))
         if table.shape[1] == ncols and table.size:
             np.frombuffer(out, np.float64, table.size).reshape(
                 ncols, -1)[...] = table.T
         conn.send(table.shape)
     except Exception as exc:  # the parent raises it in file order
         conn.send(exc)
-
-
-def _first_line(raw):
-    """Read the header line of the raw binary file; return it with its line
-    end, and the bytes read past it."""
-    buf, pos = bytearray(), 0
-    while True:
-        chunk = raw.read(_CHUNK)
-        buf += chunk
-        m = _LINE_END.search(buf, pos)
-        # a final "\r" may be the first half of "\r\n"
-        if m and (m.end() < len(buf) or m.group() != b"\r" or not chunk):
-            return bytes(buf[:m.end()]), bytes(buf[m.end():])
-        if not chunk:
-            return bytes(buf), b""
-        pos = m.start() if m else len(buf)
 
 
 def _block_count(nbytes):
@@ -187,24 +167,27 @@ def _cuts(raw, start, end, blocks):
 
 
 def _data_error(path, exc, row0):
-    """The DomainError for a block's parse error; row0 data rows precede the
-    block, so numpy's row numbers are shifted to rows of the file."""
+    """The DomainError for a block's parse error.  numpy counts a ragged row
+    from 1 and a bad cell's from 0, within the block, which row0 data rows
+    precede: both become data rows of the file, counted from 1."""
     if isinstance(exc, UnicodeDecodeError):
         return DomainError(f"{path}: not UTF-8 text ({exc.reason})")
     if not isinstance(exc, ValueError):
         return exc
-    msg = re.sub(r"(.*at row )(\d+)",
-                 lambda m: m.group(1) + str(int(m.group(2)) + row0),
+    ragged = "number of columns changed" in str(exc)
+    msg = re.sub(r"(.*at )row (\d+)",
+                 lambda m: f"{m.group(1)}data row "
+                           f"{int(m.group(2)) + row0 + (not ragged)}",
                  str(exc), count=1, flags=re.DOTALL)
-    if "number of columns changed" in msg:
+    if ragged:
         return DomainError(f"{path}: ragged rows ({msg})")
     return DomainError(f"{path}: non-numeric cell ({msg})")
 
 
-def _parse_rows(raw, path, cuts, head, ncols):
+def _parse_rows(path, cuts, first, ncols):
     """Tables of the data rows between successive cuts, in file order.
 
-    The parent parses the first block from raw (preceded by `head`) while
+    The parent parses the first block from the text stream `first` while
     a forked child parses each other block into a shared anonymous mmap,
     column by column; a child reports only its shape or its error, over a
     pipe.  The first error in file order is raised.  Every child is joined
@@ -224,12 +207,11 @@ def _parse_rows(raw, path, cuts, head, ncols):
             child.start()
             send.close()
             children.append((child, recv, out))
-        size = cuts[1] - cuts[0] if children else None
         tables, row0 = [], 0
         for k in range(len(cuts) - 1):
             if k == 0:
                 try:
-                    table = _parse_block(raw, size, head)
+                    table = _parse_block(first)
                     shape = table.shape
                 except ValueError as exc:
                     shape = exc
@@ -247,8 +229,9 @@ def _parse_rows(raw, path, cuts, head, ncols):
             if isinstance(shape, BaseException):
                 raise _data_error(path, shape, row0)
             rows, cols = shape
-            if rows and cols != ncols:
-                raise DomainError(f"{path}: ragged rows")
+            if rows and cols != ncols:  # the block's first row is ragged
+                raise DomainError(f"{path}: ragged rows ({cols} columns, not "
+                                  f"{ncols}, at data row {row0 + 1})")
             if rows:
                 if k:
                     table = np.frombuffer(out, np.float64, rows * ncols
@@ -267,25 +250,27 @@ def _parse_rows(raw, path, cuts, head, ncols):
 def read_dataset_csv(path, sigma=None, rescale=False):
     """Load columns y, x1..xp from a UTF-8 CSV file with a header row.
 
-    The header (after an optional byte-order mark) is parsed with the csv
-    module.  The data rows are cut into byte blocks, one per usable CPU
-    and none under _BLOCK_BYTES, that numpy's C reader parses in parallel
-    (see _parse_rows); y and the blocks are gathered into one column-major
-    X.  Returns (Dataset, scales); scales is None unless rescale is set,
-    in which case coefficients on the rescaled design divide by scales to
-    return to original units.
+    The header line is read from the file's UTF-8 text stream and, after an
+    optional byte-order mark, parsed with the csv module.  A pipe's rows
+    are read on from that stream in one block.  A file's rows are cut into
+    byte blocks, one per usable CPU and none under _BLOCK_BYTES, that
+    numpy's C reader parses in parallel (see _parse_rows).  y and the
+    blocks are gathered into one column-major X, which Dataset keeps
+    without a copy.  Returns (Dataset, scales); scales is None unless
+    rescale is set, in which case coefficients on the rescaled design
+    divide by scales to return to original units.
     """
     global _last_read_blocks
     with open(path, "rb", buffering=0) as raw:
-        line, head = _first_line(raw)
-        line = line.removeprefix(codecs.BOM_UTF8)
+        text = _text(raw)
+        try:
+            line = text.readline()
+        except UnicodeDecodeError as exc:
+            raise _data_error(path, exc, 0) from None
+        start = len(line.encode())  # a byte-order mark included
+        line = line.removeprefix("\ufeff")
         if not line:
             raise DomainError(f"{path}: empty file")
-        try:
-            line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"{path}: not UTF-8 text ({exc.reason})") \
-                from None
         header = [h.strip() for h in next(csv.reader([line]))]
         if len(set(header)) != len(header):
             raise DomainError(f"{path}: repeated column names in header")
@@ -296,14 +281,14 @@ def read_dataset_csv(path, sigma=None, rescale=False):
         if sorted(x_names) != sorted(expected):
             raise DomainError(
                 f"{path}: predictor columns must be x1..x{len(x_names)}, got {x_names}")
-        cuts = [0, None]  # a pipe: one block, from the bytes past the header
+        cuts = [0, None]  # a pipe: one block, read on from the header's stream
         if raw.seekable():
-            start = raw.tell() - len(head)
+            text.detach().detach()  # the buffer would close raw when freed
             end = os.fstat(raw.fileno()).st_size
             cuts = _cuts(raw, start, end, _block_count(end - start))
             raw.seek(start)
-            head = b""
-        tables = _parse_rows(raw, path, cuts, head, len(header))
+            text = _text(_Span(raw, cuts[1] - start))
+        tables = _parse_rows(path, cuts, text, len(header))
     _last_read_blocks = len(cuts) - 1
     n = sum(t.shape[0] for t in tables)
     if n == 0:
@@ -326,6 +311,8 @@ def read_dataset_csv(path, sigma=None, rescale=False):
     scales = None
     if rescale:
         X, scales = rescale_columns(X)
+    X.setflags(write=False)  # frozen and owned: Dataset keeps them
+    y.setflags(write=False)
     return Dataset(X, y, sigma), scales
 
 
@@ -520,6 +507,9 @@ def main(argv=None) -> int:
             FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except KeyboardInterrupt:  # the CSV reader has joined its children
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

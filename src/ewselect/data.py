@@ -10,18 +10,24 @@ from .errors import DomainError, NonFiniteError
 
 
 def _as_readonly_f64(a, name):
-    out = np.array(a, dtype=np.float64, order="F", copy=True)
-    if not np.all(np.isfinite(out)):
+    """a, if it is a read-only, F-contiguous float64 ndarray that owns its
+    data; else a read-only copy, so no caller's array is aliased or frozen."""
+    if not (type(a) is np.ndarray and a.dtype == np.float64
+            and a.flags.f_contiguous and a.flags.owndata
+            and not a.flags.writeable):
+        a = np.array(a, dtype=np.float64, order="F", copy=True)
+        a.setflags(write=False)
+    if not np.all(np.isfinite(a)):
         raise NonFiniteError(f"{name} contains NaN or infinite entries")
-    out.setflags(write=False)
-    return out
+    return a
 
 
 class Dataset:
     """Immutable (X, y) pair, optionally with a known noise scale sigma.
 
-    The arrays are copied and marked read-only so a Dataset can be shared
-    freely across threads or subprocesses.  X is held once, column-major, so
+    The arrays are held read-only so a Dataset can be shared freely across
+    threads or subprocesses; they are copied unless they are read-only,
+    column-major and own their data.  X is held once, column-major, so
     `xt`, whose rows are the columns of X, is a view of it and not a copy.
     Derived arrays are computed once and cached.  The chain reads only O(p)
     of them, `col_sq` and X'y, besides y'y.  The p x p X'X is built only for

@@ -233,8 +233,42 @@ class TestBlocks:
         with monkeypatch.context() as m:
             use_cpus(m, 4)
             split = read_error(path)
-        assert category in split and "at row 2" in split
+        assert category in split and re.search(r"at data row 22\b", split)
         assert split == whole
+
+    @pytest.mark.parametrize("text,row", [("y,x1\n1,2\n\n3,frog\n", 2),
+                                          ("y,x1\n1,2\n\n3\n", 2),
+                                          ("y,x1\nfrog,2\n", 1)])
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_errors_name_the_data_row_from_one(self, tmp_path, monkeypatch,
+                                               text, row, cpus):
+        # both error kinds count data rows from 1, the header and blank
+        # lines left out, in one block and in blocks
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with monkeypatch.context() as m:
+            use_cpus(m, cpus)
+            message = read_error(path)
+        assert re.search(rf"at data row {row}\b", message)
+
+    def test_peak_memory_in_blocks_is_x_and_a_block(self, tmp_path,
+                                                    monkeypatch, rng):
+        # the gathered X goes to Dataset uncopied: the peak is X plus the
+        # parent's own block
+        import tracemalloc
+        X = rng.standard_normal((200, 1000))
+        path = tmp_path / "wide.csv"
+        write_dataset_csv(path, X, rng.standard_normal(200))
+        with monkeypatch.context() as m:
+            use_cpus(m, 4, chunk=1 << 16)
+            tracemalloc.start()
+            try:
+                data, _ = read_dataset_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert cli._last_read_blocks == 4
+        assert peak <= 1.75 * data.X.nbytes
 
     @pytest.mark.parametrize("patch", ["one cpu", "no fork"])
     def test_one_block_makes_no_child(self, planted_csv, monkeypatch, patch):
@@ -271,6 +305,55 @@ class TestBlocks:
         assert "non-numeric cell" in read_error(path)
         assert time.perf_counter() - start < 30
         assert multiprocessing.active_children() == []
+
+
+def test_interrupt_exits_130(planted_csv, monkeypatch, capsys):
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(cli, "run_chain", interrupted)
+    assert main(["fit", str(planted_csv[0]), "--sigma", "1"]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
+def test_interrupt_during_parse_leaves_no_process(tmp_path):
+    # Ctrl-C reaches the whole process group while forked children parse:
+    # the parent ends them and exits 130, and nothing prints a traceback
+    path = tmp_path / "d.csv"
+    path.write_text("y,x1\n" + "1,2\n" * 40)
+    code = f"""
+import os, signal, sys, time
+from ewselect import cli
+cli._BLOCK_BYTES = 1
+os.sched_getaffinity = lambda pid: set(range(4))
+def slow(*args):
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    os.write(1, b"parsing\\n")
+    time.sleep(60)
+cli._parse_child = slow
+sys.exit(cli.main(["fit", {str(path)!r}, "--sigma", "1"]))
+"""
+    src = os.path.dirname(os.path.dirname(ewselect.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        for _ in range(3):  # one line from each child
+            assert proc.stdout.readline() == "parsing\n"
+        os.killpg(proc.pid, signal.SIGINT)
+        _, err = proc.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):  # the group is empty
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert proc.returncode == 130
+    assert "Traceback" not in err and err.endswith("interrupted\n")
 
 
 BAD_FILES = [

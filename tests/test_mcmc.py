@@ -13,6 +13,9 @@ from ewselect import (ChainConfig, Dataset, DomainError, PosteriorConfig,
                       make_state, map_refit, mh_step, posterior_mean,
                       practical_lambda, restricted_posterior_mean, run_chain,
                       threshold_coefficients)
+from ewselect import mcmc
+from ewselect.baselines import (LassoConfig, default_lasso_penalty,
+                                lasso_coordinate_descent)
 from ewselect.mcmc import MOVES
 from ewselect.priors import log_prior_table
 from ewselect.subsets import Neighbours, peek_rss_add
@@ -50,6 +53,17 @@ def walk_removals(monkeypatch, data, cfg, start, steps, rng, block=1024):
     mcmc._walk(data, cfg, make_state(data, start), 0, steps, (0.5, 0.5), rng,
                block, rows)
     return built, rows
+
+
+def chain_parts(data, cfg, ccfg):
+    """The accumulators of each of run_chain's chains, each walked on its
+    own, in chain order."""
+    seeds = np.random.SeedSequence(ccfg.seed).spawn(ccfg.chains)
+    start = mcmc._initial_support(data, cfg, ccfg.init)
+    return [mcmc._walk(data, cfg, make_state(data, start), ccfg.burn_in,
+                       ccfg.samples, ccfg.move_mix, np.random.default_rng(s),
+                       mcmc._BLOCK, None)[1]
+            for s in seeds]
 
 
 def dependent_design():
@@ -316,6 +330,40 @@ class TestRunChain:
                                                   seed=6))
         assert not np.array_equal(single.mean_sum, a1.mean_sum)
 
+    def test_later_chain_with_a_better_best_support_wins(self):
+        data, _ = planted_instance(34, 25, 8, [1.0, -0.8], sigma=0.9)
+        cfg = PosteriorConfig(lam=practical_lambda(8), max_support=4,
+                              sigma2=data.sigma ** 2)
+        ccfg = ChainConfig(burn_in=0, samples=5, seed=4, chains=3)
+        parts = chain_parts(data, cfg, ccfg)
+        weights = [a.best_log_weight for a in parts]
+        assert weights[1] > weights[0]  # the second chain must take over
+        acc = run_chain(data, cfg, ccfg)
+        best = parts[int(np.argmax(weights))]
+        assert acc.best_support == best.best_support
+        assert acc.best_log_weight == best.best_log_weight
+        assert acc.samples == 15 and acc.chains == 3
+        assert np.array_equal(acc.mean_sum, sum(a.mean_sum for a in parts))
+        assert acc.accepted == sum(a.accepted for a in parts)
+        assert acc.proposals == sum(a.proposals for a in parts)
+
+    def test_merged_visit_counts_stop_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(mcmc, "VISIT_CAP", 4)
+        data, cfg = flat_posterior_data()
+        ccfg = ChainConfig(burn_in=0, samples=200, seed=3, chains=3)
+        parts = chain_parts(data, cfg, ccfg)
+        for a in parts:
+            assert sum(a.visit_counts.values()) + a.visit_overflow == 200
+        acc = run_chain(data, cfg, ccfg)
+        # a later chain visits supports that no longer fit
+        assert any(set(a.visit_counts) - set(acc.visit_counts)
+                   for a in parts[1:])
+        assert len(acc.visit_counts) == 4
+        assert set(parts[0].visit_counts) <= set(acc.visit_counts)
+        for sup, count in acc.visit_counts.items():
+            assert count == sum(a.visit_counts.get(sup, 0) for a in parts)
+        assert acc.visit_overflow == 600 - sum(acc.visit_counts.values())
+
     def test_lasso_warm_start(self):
         data, _ = planted_instance(35, 40, 12, [1.5, 1.5], sigma=0.4)
         cfg = PosteriorConfig(lam=practical_lambda(12), max_support=6,
@@ -323,6 +371,19 @@ class TestRunChain:
         acc = run_chain(data, cfg, ChainConfig(burn_in=50, samples=500,
                                                seed=8, init="lasso"))
         assert acc.best_support == (0, 1)
+
+    def test_lasso_warm_start_keeps_the_largest_under_the_cap(self):
+        data, _ = planted_instance(35, 40, 12, [0.6, 0.9, -1.2, 1.5],
+                                   sigma=0.4)
+        cfg = PosteriorConfig(lam=practical_lambda(12), max_support=2,
+                              sigma2=data.sigma ** 2)
+        lam = default_lasso_penalty(math.sqrt(cfg.sigma2), 40, 12)
+        beta = lasso_coordinate_descent(data, LassoConfig(lam=lam))
+        assert np.count_nonzero(beta) > 2  # the cap cuts the lasso support
+        order = np.argsort(-np.abs(beta))
+        assert abs(beta[order[1]]) > abs(beta[order[2]])
+        assert mcmc._initial_support(data, cfg, "lasso") == tuple(
+            sorted(int(j) for j in order[:2]))
 
     def test_chain_never_builds_the_gram(self, no_gram):
         data, _ = planted_instance(37, 40, 300, [1.5, -1.5], sigma=0.4)

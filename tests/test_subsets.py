@@ -43,6 +43,26 @@ class TestDataset:
         assert X.flags.f_contiguous and not X.flags.writeable
         assert xt.flags.c_contiguous and not xt.flags.writeable
 
+    def test_frozen_owning_arrays_are_kept(self, rng):
+        # a read-only, column-major array that owns its data is kept; any
+        # other input is copied, so no caller's array is aliased or frozen
+        frozen = np.asfortranarray(rng.standard_normal((6, 3)))
+        y = rng.standard_normal(6)
+        frozen.setflags(write=False)
+        y.setflags(write=False)
+        data = Dataset(frozen, y)
+        assert data.X is frozen and data.y is y
+        writable = np.asfortranarray(rng.standard_normal((6, 3)))
+        view = frozen[:, :2]
+        c_order = np.ascontiguousarray(frozen)
+        c_order.setflags(write=False)
+        for X in (writable, view, c_order):
+            data = Dataset(X, y)
+            assert not np.shares_memory(data.X, X)
+            assert np.array_equal(data.X, X)
+            assert data.X.flags.f_contiguous and not data.X.flags.writeable
+        assert writable.flags.writeable
+
     def test_normalization_check(self, rng):
         X = normalized_gaussian(rng, 20, 6)
         d = Dataset(X, rng.standard_normal(20))
