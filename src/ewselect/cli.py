@@ -356,6 +356,7 @@ def _cmd_fit(args) -> int:
                       zip(MOVES, acc.moves_proposed, acc.moves_accepted))
     print(f"moves (proposed/accepted): {moves}; window-scanned steps "
           f"{acc.window_steps}", file=sys.stderr)
+    print(f"neighbour scores built: {acc.neighbour_builds}", file=sys.stderr)
     print(f"wall seconds: read {t_noise - t_read:.4f} "
           f"({_last_read_blocks} blocks), noise {t_chain - t_noise:.4f}, "
           f"chain {t_threshold - t_chain:.4f}, "

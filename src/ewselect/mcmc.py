@@ -12,10 +12,12 @@ quantities, so the sampled law is identical to the plain kernel.
 
 Nearly every step is a rejection, so a stay on one support lasts hundreds
 of steps, and the uniforms that fix its proposals are drawn in advance.
-Once a stay outlasts its scalar head, _scan decodes a window of those
-proposals with numpy, scores them all from the stay's subsets.Neighbours,
-and rejects in bulk every step before the first one that may be accepted
-within the scores' rounding slack; the scalar step takes that step.
+A stay starts with scalar steps.  Once they have paid for a
+subsets.Neighbours build in memo misses, or have lasted _HEAD steps,
+_scan decodes a window of those proposals with numpy, scores them all from
+the stay's Neighbours, and rejects in bulk every step before the first one
+that may be accepted within the scores' rounding slack; the scalar step
+takes that step.
 Windows leave the law of the chain unchanged, and they take the steps
 scalar steps alone would take, reading the random stream in the same
 order, except possibly after a tie to within rounding at a scalar step
@@ -42,7 +44,7 @@ from .subsets import (Neighbours, SubsetState, _check_subset,
 VISIT_CAP = 100_000        # most distinct supports kept in the histogram
 LOGW_CACHE_CAP = 1024      # memoized log-weights; more saved < 0.2 % of peeks
 _BLOCK = 16384
-_HEAD = 128               # scalar steps at the start of every stay
+_HEAD = 128               # most scalar steps at the start of a stay
 _WINDOW = 1024            # steps a window scans at most
 # step kinds, indexed by (add >= 0) + 2 * (drop >= 0)
 MOVES = ("none", "add", "drop", "swap")
@@ -89,6 +91,7 @@ class ChainAccumulators:
     the support cap, or a swap from the empty or full support), so the
     counts sum to `proposals` and `accepted`.  window_steps counts the
     steps that windows rejected in bulk; the rest were scalar steps.
+    neighbour_builds counts the stays' subsets.Neighbours builds.
     """
 
     p: int
@@ -104,6 +107,7 @@ class ChainAccumulators:
     moves_proposed: np.ndarray
     moves_accepted: np.ndarray
     window_steps: int
+    neighbour_builds: int
     chains: int = 1
 
     @property
@@ -193,6 +197,12 @@ def _initial_support(data: Dataset, pcfg: PosteriorConfig, init) -> tuple[int, .
     return support
 
 
+def _head_misses(p: int) -> int:
+    """Memo misses that open a stay's first window on a p-column design:
+    one Neighbours build costs about as much as this many peeks."""
+    return max(8, p // 25)
+
+
 def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
           burn: int, samples: int, move_mix: tuple[float, float], rng,
           block: int, trace_rows) -> tuple[SubsetState, ChainAccumulators]:
@@ -202,8 +212,9 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     `state` or the memoized removal of `drop`; an accepted move keeps only
     the new state's one known removal, its base less `add`.
 
-    The first _HEAD steps on a state are scalar steps, and so is every
-    step on a rank-deficient state.  Past them, _scan rejects runs of
+    A stay takes scalar steps until it has made _head_misses(p) memo
+    misses or lasted _HEAD steps, and so does every stay on a
+    rank-deficient state.  Past them, _scan rejects runs of
     steps in windows that never cross a block, and the scalar step takes
     the step a window stops at, so every acceptance, dense fallback and
     pool refill is a scalar step and the uniforms are consumed in the
@@ -232,6 +243,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     proposed = [0] * len(MOVES)
     accepted = [0] * len(MOVES)
     window_steps = 0
+    builds = 0
 
     pool = rng.random(block)
     pool_i = 0
@@ -263,12 +275,15 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
             out = removals[drop] = update_remove(state, drop, data)
         return out
 
+    head_misses = _head_misses(p)
     t = 0
     stay_start = 0     # the step that reached the current state
+    misses = 0         # the stay's log-weights missing from the memo
     scores = None      # its Neighbours, built by the first window
     drawn = -1         # the block start whose uniforms a window drew
     while t < total:
-        if t - stay_start >= _HEAD and state.linv is not None:
+        if state.linv is not None and (t - stay_start >= _HEAD
+                                       or misses >= head_misses):
             i = t % block
             if i == 0:
                 move_u, coord_u, logacc = draw()
@@ -276,6 +291,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
             span = min(_WINDOW, block - i, total - t)
             if scores is None:
                 scores = Neighbours(state, data)
+                builds += 1
             n, kinds, pool_i = _scan(state, scores, p, lp, twos2, lw_cur,
                                      p_flip, sbar, move_u[i:i + span],
                                      coord_u[i:i + span], logacc[i:i + span],
@@ -327,6 +343,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
             if kind:
                 lw_c = logws.get(cand_mask)
                 if lw_c is None:
+                    misses += 1
                     b = base(drop)
                     rss_c = b.rss if add < 0 else peek_rss_add(b, add, data)
                     lw_c = float(lp[cand_mask.bit_count()]) - rss_c / twos2
@@ -358,7 +375,10 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
                                    int(acc_flag)))
             if acc_flag:
                 stay_start = t + 1
+                misses = 0
                 scores = None
+                break
+            if misses >= head_misses and state.linv is not None:
                 break
         t += 1
 
@@ -369,7 +389,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
         visit_counts=visits, visit_overflow=visit_overflow,
         accepted=sum(accepted), proposals=total, chains=1,
         moves_proposed=np.array(proposed), moves_accepted=np.array(accepted),
-        window_steps=window_steps,
+        window_steps=window_steps, neighbour_builds=builds,
     )
 
 
@@ -446,6 +466,7 @@ def _merge(parts: list[ChainAccumulators]) -> ChainAccumulators:
         out.moves_proposed += acc.moves_proposed
         out.moves_accepted += acc.moves_accepted
         out.window_steps += acc.window_steps
+        out.neighbour_builds += acc.neighbour_builds
         out.chains += acc.chains
     return out
 

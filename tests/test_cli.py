@@ -420,6 +420,24 @@ class TestFitCommand:
         assert got[0] == pytest.approx(1.5, abs=0.3)
         assert got[1] == pytest.approx(-1.2, abs=0.3)
 
+    def test_reports_neighbour_builds(self, planted_csv, monkeypatch,
+                                      capsys):
+        # its own line counts the chain's Neighbours builds
+        runs, real = [], cli.run_chain
+
+        def recorded(*args):
+            runs.append(real(*args))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_chain", recorded)
+        path, _, _, _, sigma = planted_csv
+        assert main(["fit", str(path), "--sigma", str(sigma), "--t0", "500",
+                     "--t", "1500", "--seed", "7"]) == 0
+        err = capsys.readouterr()[1]
+        (acc,) = runs
+        assert acc.neighbour_builds > 0 and acc.window_steps > 0
+        assert f"\nneighbour scores built: {acc.neighbour_builds}\n" in err
+
     def test_phase_wall_seconds(self, planted_csv, monkeypatch, capsys):
         # one stderr line times the phases; stdout is the same in blocks
         path = str(planted_csv[0])

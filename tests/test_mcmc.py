@@ -81,9 +81,9 @@ def dependent_design():
 def windowed_and_scalar(monkeypatch, data, cfg, start, steps, mix, block,
                         make_rng):
     """The chain kernel run twice on equal streams, scanning windows from
-    the first step of every stay (_HEAD 0) and taking scalar steps only:
-    [(trace rows, accumulators, rank flags the scorer raised)] in that
-    order."""
+    the first step of every stay (_HEAD and the miss threshold 0) and
+    taking scalar steps only (both never reached): [(trace rows,
+    accumulators, rank flags the scorer raised)] in that order."""
     import ewselect.mcmc as mcmc
     out = []
     for head in (0, 10 ** 9):
@@ -96,6 +96,7 @@ def windowed_and_scalar(monkeypatch, data, cfg, start, steps, mix, block,
                 return rss, slack
 
         monkeypatch.setattr(mcmc, "_HEAD", head)
+        monkeypatch.setattr(mcmc, "_head_misses", lambda p, head=head: head)
         monkeypatch.setattr(mcmc, "Neighbours", Spy)
         rows = []
         acc = mcmc._walk(data, cfg, make_state(data, start), steps // 5,
@@ -308,13 +309,17 @@ class TestRunChain:
         data, _ = planted_instance(39, 30, 60, [1.0, -0.8], sigma=0.6)
         cfg = PosteriorConfig(lam=practical_lambda(60), max_support=3,
                               sigma2=data.sigma ** 2)
-        acc = run_chain(data, cfg, ChainConfig(burn_in=500, samples=4000,
-                                               seed=2, chains=2))
+        ccfg = ChainConfig(burn_in=500, samples=4000, seed=2, chains=2)
+        acc = run_chain(data, cfg, ccfg)
         assert acc.moves_proposed.sum() == acc.proposals == 9000
         assert acc.moves_accepted.sum() == acc.accepted > 0
         assert acc.moves_accepted[MOVES.index("none")] == 0
         assert np.all(acc.moves_accepted <= acc.moves_proposed)
         assert 0 < acc.window_steps < acc.proposals
+        parts = chain_parts(data, cfg, ccfg)
+        assert acc.window_steps == sum(a.window_steps for a in parts)
+        assert acc.neighbour_builds == sum(a.neighbour_builds for a in parts)
+        assert all(a.neighbour_builds > 0 for a in parts)
 
     def test_multi_chain_merges_deterministically(self):
         data, _ = planted_instance(34, 25, 8, [1.0, -0.8], sigma=0.9)
@@ -611,6 +616,91 @@ class TestWindows:
         assert [r[3] for r in rows_w] == [0] * 4
         assert acc_w.window_steps == 3          # steps 0, 1 and 3
         assert acc_w.moves_proposed[MOVES.index("swap")] == 4
+
+
+def window_builds(monkeypatch, data, cfg, start, steps):
+    """Walk the chain kernel along a scripted chain of flips, `steps` =
+    [(column, acceptance uniform)], in blocks of one step: (the steps that
+    built a Neighbours, trace rows)."""
+    built, rows = [], []
+
+    class Spy(Neighbours):
+        def __init__(self, state, d):
+            built.append(len(rows))
+            super().__init__(state, d)
+
+    monkeypatch.setattr(mcmc, "Neighbours", Spy)
+    mcmc._walk(data, cfg, make_state(data, start), 0, len(steps), (1.0, 0.0),
+               ScriptedRng(flip_script(data.p, steps)), 1, rows)
+    return built, rows
+
+
+REJECT, ACCEPT = 1e300, 1e-300     # acceptance uniforms, logs +-690
+
+
+class TestHead:
+    """A stay's first window opens once its memo misses have paid for a
+    Neighbours build, or after _HEAD scalar steps, whichever comes first."""
+
+    def test_stays_that_hit_the_memo_keep_the_step_head(self, monkeypatch):
+        # c1's shape, p = 10: stay 1 on (0, 1) misses 7 times, under the
+        # floor of 8, and accepts the add of column 2; every step of stay 2
+        # proposes the drop of column 2, back to (0, 1), which the memo holds
+        data, _ = planted_instance(54, 30, 10, [1.0, 0.6], sigma=1.0)
+        cfg = PosteriorConfig(lam=practical_lambda(10), max_support=4,
+                              sigma2=1.0)
+        assert mcmc._head_misses(10) == 8
+        steps = ([(c, REJECT) for c in range(3, 10)] + [(2, ACCEPT)]
+                 + [(2, REJECT)] * 140)
+        built, rows = window_builds(monkeypatch, data, cfg, (0, 1), steps)
+        assert [r[0] for r in rows if r[3]] == [7]
+        assert built == [8 + mcmc._HEAD]
+
+    @pytest.mark.parametrize("p", [200, 500])
+    def test_misses_open_the_window_before_the_step_head(self, monkeypatch,
+                                                         p):
+        # each stay misses h - 1 times and then hits the memo; the count
+        # restarts on the accepted add of column 2, and stay 2's h-th miss
+        # opens a window at the next step
+        data, _ = planted_instance(55, 100, p, [1.0] * 5, sigma=0.75)
+        cfg = PosteriorConfig(lam=practical_lambda(p), max_support=5,
+                              sigma2=data.sigma ** 2)
+        h = mcmc._head_misses(p)
+        assert h == max(8, p // 25) and h + 40 < mcmc._HEAD
+        stay1 = ([(c, REJECT) for c in range(10, 10 + h - 1)]
+                 + [(10, REJECT)] * 20 + [(2, ACCEPT)])
+        stay2 = ([(c, REJECT) for c in range(40, 40 + h - 1)]
+                 + [(2, REJECT)] * 10 + [(40 + h - 1, REJECT)])
+        steps = stay1 + stay2 + [(3, REJECT)] * 15
+        built, rows = window_builds(monkeypatch, data, cfg, (0, 1), steps)
+        assert [r[0] for r in rows if r[3]] == [len(stay1) - 1]
+        assert built == [len(stay1) + len(stay2)]
+
+    def test_wide_designs_keep_the_step_head(self, monkeypatch):
+        # at p >= 3200 the threshold is at least _HEAD, and a step misses at
+        # most once: the chain makes the calls of one with no miss trigger
+        data, _ = planted_instance(56, 30, 3200, [1.2, -1.0, 0.9], sigma=0.6)
+        cfg = PosteriorConfig(lam=practical_lambda(data.p), max_support=6,
+                              sigma2=data.sigma ** 2)
+        assert mcmc._head_misses(3200) >= mcmc._HEAD
+        real_peek = mcmc.peek_rss_add
+        runs = []
+        for head_misses in (mcmc._head_misses, lambda p: 10 ** 9):
+            peeks = []
+
+            def spy(state, j, d):
+                peeks.append(int(j))
+                return real_peek(state, j, d)
+
+            monkeypatch.setattr(mcmc, "peek_rss_add", spy)
+            monkeypatch.setattr(mcmc, "_head_misses", head_misses)
+            acc = mcmc._walk(data, cfg, make_state(data, ()), 500, 3000,
+                             (0.5, 0.5), np.random.default_rng(9),
+                             mcmc._BLOCK, None)[1]
+            runs.append((peeks, acc.neighbour_builds, acc.window_steps,
+                         acc.accepted))
+        assert runs[0] == runs[1]
+        assert runs[0][1] > 1 and runs[0][3] > 0
 
 
 class TestThreshold:
