@@ -1,7 +1,8 @@
 """Subset-penalized selection and a coordinate-descent lasso with an exact
 active-set finish.
 
-Both serve as experiment comparators and as warm starts for the sampler.
+Both serve as experiment comparators and as warm starts for the sampler,
+and the lasso drives the scaled-lasso noise estimate.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ class LassoConfig:
 
 def default_lasso_penalty(sigma: float, n: int, p: int, a: float = 4.0) -> float:
     """The A * sigma * sqrt(log(p)/n) rule for the lasso regularizer."""
-    if not (0 <= sigma < math.inf and 0 < a < math.inf) or n < 1 or p < 2:
-        raise DomainError("need finite sigma >= 0, finite a > 0, n >= 1, p >= 2")
+    if not (0 <= sigma < math.inf and 0 < a < math.inf) or n < 1 or p < 1:
+        raise DomainError("need finite sigma >= 0, finite a > 0, n >= 1, p >= 1")
     return a * sigma * math.sqrt(math.log(p) / n)
 
 
@@ -74,23 +75,23 @@ def _exhaustive_l0(data: Dataset, cfg: L0Config):
     return _penalized_scan(data, s_max, cfg.lam)
 
 
-def _greedy_l0(data: Dataset, score):
-    """Forward selection under `score(rss, size)`, then one backward sweep."""
-    n, p = data.n, data.p
+def _greedy_l0(data: Dataset, lam: float, cap: int) -> tuple[int, ...]:
+    """Forward selection under rss + lam |J| over supports of at most `cap`
+    columns, then one backward sweep."""
+    n = data.n
     U = np.array(data.X)          # columns progressively orthogonalized
     r = np.array(data.y)
     support: list[int] = []
-    rss = data.yty
-    best_score = score(rss, 0)
+    rss = best_score = data.yty
     eps_n = EPS_RANK * n
-    while len(support) < min(p, n):
+    while len(support) < min(cap, n):
         den = np.einsum("ij,ij->j", U, U)
         num = U.T @ r
         gain = np.where(den > eps_n, num * num / np.where(den > eps_n, den, 1.0), 0.0)
         if support:
             gain[np.asarray(support)] = 0.0
         cand = np.maximum(rss - gain, 0.0)
-        scores = score(cand, len(support) + 1)
+        scores = cand + lam * (len(support) + 1)
         j = int(np.argmin(scores))
         if not scores[j] < best_score:
             break
@@ -103,12 +104,11 @@ def _greedy_l0(data: Dataset, score):
     # one backward-elimination pass over a snapshot of the support
     for j in sorted(support):
         reduced = [v for v in support if v != j]
-        val = score(residual_ss(data, reduced), len(reduced))
+        val = residual_ss(data, reduced) + lam * len(reduced)
         if val < best_score:
-            best_score = float(val)
+            best_score = val
             support = reduced
-    support = tuple(sorted(support))
-    return support, best_score
+    return tuple(sorted(support))
 
 
 def l0_select(data: Dataset, cfg: L0Config):
@@ -124,13 +124,7 @@ def l0_select(data: Dataset, cfg: L0Config):
     if cfg.strategy == "exhaustive":
         support, _ = _exhaustive_l0(data, cfg)
     else:
-        capped = min(cfg.max_support, data.p)
-
-        def score(rss, size):
-            return np.where(np.asarray(size) <= capped,
-                            rss + cfg.lam * size, np.inf)
-
-        support, _ = _greedy_l0(data, score)
+        support = _greedy_l0(data, cfg.lam, min(cfg.max_support, data.p))
     return support, least_squares_min_norm(data, support)
 
 
@@ -153,8 +147,6 @@ def lasso_coordinate_descent(data: Dataset, cfg: LassoConfig) -> np.ndarray:
     """
     y, n, p = data.y, data.n, data.p
     col_sq = data.col_sq / n
-    if np.any(col_sq == 0.0):
-        raise DomainError("lasso requires nonzero columns")
     beta = np.zeros(p)
     r = np.array(y)
     lam = cfg.lam
@@ -197,7 +189,9 @@ def lasso_coordinate_descent(data: Dataset, cfg: LassoConfig) -> np.ndarray:
         g[A] = 0.0
         return bool(np.max(g) <= lam)
 
-    everything = range(p)
+    # an all-zero column stays at 0, its exact minimizer; Python ints keep
+    # the full sweep's indexing as fast as over a range
+    everything = np.flatnonzero(col_sq).tolist()
     # sign changes so far, and their count at the last exact finish
     flips, tried = 0, -1
     sweeps = 0   # full and active-set sweeps share the cfg.max_iter budget
@@ -294,29 +288,25 @@ def _solve_spd(psi: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def estimate_noise_variance(data: Dataset) -> float:
-    """Plug-in noise variance from a preliminary greedy fit.
+    """Noise variance by the scaled lasso with a least-squares refit.
 
-    A sigma-free information-criterion fit picks a support, sigma^2 is read
-    off its residuals, and one refinement pass repeats the greedy selection
-    with the implied penalty.
+    The scaled lasso (Sun & Zhang, Biometrika 2012) starts from
+    sigma = sqrt(y'y / n) and alternates a lasso fit at
+    lam = sigma sqrt(2 log p / n) with sigma = ||y - X b|| / sqrt(n), until
+    sigma moves by less than 1e-3 relative or after 20 fits.  The estimate
+    is rss / (n - |J|) of the least-squares refit on the last fit's support
+    J (Reid, Tibshirani & Friedman, Statistica Sinica 2016).
     """
     n = data.n
-    log_n = math.log(n)
-    floor = max(data.yty / n * 1e-12, 1e-300)
-
-    def ic_score(rss, size):
-        return n * np.log(np.maximum(np.asarray(rss, dtype=np.float64) / n, floor)) \
-            + np.asarray(size) * log_n
-
-    support, _ = _greedy_l0(data, ic_score)
-    sigma2 = _rss_variance(data, support)
-    refit, _ = _greedy_l0(
-        data, lambda rss, size: np.asarray(rss) + sigma2 * log_n * np.asarray(size))
-    return _rss_variance(data, refit)
-
-
-def _rss_variance(data: Dataset, support) -> float:
-    dof = data.n - len(support)
-    if dof <= 0:
+    rate = math.sqrt(2.0 * math.log(data.p) / n)
+    sigma = math.sqrt(data.yty / n)
+    for _ in range(20):
+        beta = lasso_coordinate_descent(data, LassoConfig(lam=sigma * rate))
+        r = data.y - data.X @ beta
+        previous, sigma = sigma, math.sqrt(float(r @ r) / n)
+        if abs(sigma - previous) < 1e-3 * previous:
+            break
+    support = np.flatnonzero(beta)
+    if len(support) >= n:
         raise DomainError("support too large to estimate the noise variance")
-    return residual_ss(data, support) / dof
+    return residual_ss(data, support) / (n - len(support))

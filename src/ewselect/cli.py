@@ -18,6 +18,7 @@ import os
 import re
 import signal
 import sys
+import threading
 import time
 import warnings
 
@@ -29,7 +30,7 @@ from .data import Dataset, rescale_columns
 from .diagnostics import design_report
 from .errors import (DomainError, NonFiniteError, NotConvergedError,
                      SingularError, TooLargeError)
-from .experiments import emit, parse_spec_file, run_experiment
+from .experiments import _g17, emit, parse_spec_file, run_experiment
 from .mcmc import (MOVES, ChainConfig, default_threshold, posterior_mean,
                    run_chain, threshold_coefficients)
 from .priors import PosteriorConfig, practical_lambda
@@ -38,10 +39,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports it
-
-
-def _g17(v: float) -> str:
-    return f"{float(v):.17g}"
 
 
 # Data rows are parsed in byte blocks of at least this size, one block per
@@ -196,17 +193,28 @@ def _parse_rows(path, cuts, first, ncols):
     """
     ctx = multiprocessing.get_context("fork") if len(cuts) > 2 else None
     children = []
+    # A Ctrl-C while forking is lost in an after-fork hook or orphans the
+    # child being forked, so the main thread holds it until all are listed.
+    hold = ctx and threading.current_thread() is threading.main_thread()
+    held, previous = [], hold and signal.signal(
+        signal.SIGINT, lambda *args: held.append(args))
     try:
-        for start, end in zip(cuts[1:-1], cuts[2:]):
-            # a row of ncols non-empty cells takes at least 2*ncols bytes
-            rows = (end - start + 1) // (2 * ncols)
-            out = mmap.mmap(-1, 8 * ncols * max(rows, 1))
-            recv, send = ctx.Pipe(duplex=False)
-            child = ctx.Process(target=_parse_child,
-                                args=(send, path, start, end, ncols, out))
-            child.start()
-            send.close()
-            children.append((child, recv, out))
+        try:
+            for start, end in zip(cuts[1:-1], cuts[2:]):
+                # a row of ncols non-empty cells takes at least 2*ncols bytes
+                rows = (end - start + 1) // (2 * ncols)
+                out = mmap.mmap(-1, 8 * ncols * max(rows, 1))
+                recv, send = ctx.Pipe(duplex=False)
+                child = ctx.Process(target=_parse_child,
+                                    args=(send, path, start, end, ncols, out))
+                child.start()
+                send.close()
+                children.append((child, recv, out))
+        finally:
+            if hold:
+                signal.signal(signal.SIGINT, previous)
+        if held:
+            signal.raise_signal(signal.SIGINT)
         tables, row0 = [], 0
         for k in range(len(cuts) - 1):
             if k == 0:
@@ -442,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--sbar", type=int, default=None,
                      help="support cap (default n//2)")
     fit.add_argument("--sigma", type=float, default=None,
-                     help="noise level; estimated from a greedy fit if omitted")
+                     help="noise level; estimated by the scaled lasso if omitted")
     fit.add_argument("--t0", type=int, default=3000, help="burn-in steps")
     fit.add_argument("--t", type=int, default=7000, help="recorded steps")
     fit.add_argument("--seed", type=int, default=0)

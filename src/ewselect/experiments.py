@@ -207,18 +207,19 @@ def tune_lasso_multiplier(spec: ExperimentSpec) -> float:
     if "lasso" not in spec.methods or not spec.lasso_a_grid or spec.tune_reps < 1:
         return spec.lasso_a
     block = min(spec.tune_reps, spec.reps)
-    best_a, best_err = spec.lasso_a, math.inf
-    for a in spec.lasso_a_grid:
-        errs = []
-        for rep in range(block):
-            data, beta_true, support_true = generate_instance(spec, rep)
+    errs = [[] for _ in spec.lasso_a_grid]
+    for rep in range(block):
+        data, beta_true, _ = generate_instance(spec, rep)
+        for a, err in zip(spec.lasso_a_grid, errs):
             try:
-                beta, support = fit_lasso(data, spec, a)
+                beta, _ = fit_lasso(data, spec, a)
             except EwselectError:
-                errs.append(math.inf)
+                err.append(math.inf)
                 continue
-            errs.append(float(np.max(np.abs(beta - beta_true))))
-        mean_err = float(np.mean(errs))
+            err.append(float(np.max(np.abs(beta - beta_true))))
+    best_a, best_err = spec.lasso_a, math.inf
+    for a, err in zip(spec.lasso_a_grid, errs):
+        mean_err = float(np.mean(err))
         if mean_err < best_err:
             best_a, best_err = a, mean_err
     return best_a

@@ -182,9 +182,9 @@ def _initial_support(data: Dataset, pcfg: PosteriorConfig, init) -> tuple[int, .
         if init == "empty":
             return ()
         if init == "lasso":
-            from .baselines import LassoConfig, lasso_coordinate_descent
-            sigma = math.sqrt(pcfg.sigma2)
-            lam_l = 4.0 * sigma * math.sqrt(math.log(data.p) / data.n)
+            from .baselines import (LassoConfig, default_lasso_penalty,
+                                    lasso_coordinate_descent)
+            lam_l = default_lasso_penalty(math.sqrt(pcfg.sigma2), data.n, data.p)
             beta = lasso_coordinate_descent(data, LassoConfig(lam=lam_l))
             nz = np.flatnonzero(beta)
             if len(nz) > sbar:

@@ -4,9 +4,10 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from ewselect import (Dataset, DomainError, L0Config, LassoConfig,
-                      NotConvergedError, SingularError, default_lasso_penalty,
-                      estimate_noise_variance, inverse_gram_sign_norm,
+from ewselect import (Dataset, DomainError, ExperimentSpec, L0Config,
+                      LassoConfig, NotConvergedError, SingularError,
+                      default_lasso_penalty, estimate_noise_variance,
+                      generate_instance, inverse_gram_sign_norm,
                       irrepresentable_check, l0_select,
                       lasso_coordinate_descent, lasso_duality_gap,
                       lasso_kkt_violation, residual_ss)
@@ -217,6 +218,15 @@ class TestLasso:
         assert raised
         assert lasso_kkt_violation(d, beta, lam) <= 10 * tol
 
+    def test_zero_column_stays_at_zero(self, rng):
+        X = normalized_gaussian(rng, 40, 8)
+        X[:, 3] = 0.0
+        y = X[:, 0] - X[:, 5] + 0.3 * rng.standard_normal(40)
+        d = Dataset(X, y)
+        beta = lasso_coordinate_descent(d, LassoConfig(lam=0.05))
+        assert beta[3] == 0.0 and beta[0] > 0.0 > beta[5]
+        assert lasso_kkt_violation(d, beta, 0.05) <= 1e-8
+
     def test_lasso_never_builds_the_gram(self, no_gram):
         data, _ = planted_instance(2, 100, 200, [1.0] * 5, sigma=0.75)
         lam = default_lasso_penalty(data.sigma, 100, 200, a=0.5)
@@ -232,6 +242,7 @@ class TestLasso:
     def test_default_penalty_rule(self):
         assert default_lasso_penalty(2.0, 100, 200, a=3.0) == pytest.approx(
             3.0 * 2.0 * math.sqrt(math.log(200) / 100), rel=1e-14)
+        assert default_lasso_penalty(2.0, 100, 1) == 0.0
 
 
 class TestIrrepresentability:
@@ -316,6 +327,22 @@ class TestNoiseEstimate:
         data, _ = planted_instance(12, 100, 200, [1.0, -1.0], sigma=0.5)
         est = estimate_noise_variance(data)
         assert math.isfinite(est) and est > 0.0
+
+    @pytest.mark.parametrize("n,p", [(100, 200), (100, 1000)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_holds_at_p_above_n(self, n, p, seed):
+        # Gaussian design, ||x_j||^2 = n, beta = 1 on 5 columns, SNR 9
+        data, _, _ = generate_instance(
+            ExperimentSpec(n=n, p=p, sparsity=5, seed=seed), 0)
+        ratio = math.sqrt(estimate_noise_variance(data)) / data.sigma
+        assert 0.75 <= ratio <= 1.33
+
+    def test_design_with_a_zero_column(self, rng):
+        X = normalized_gaussian(rng, 40, 60)
+        X[:, 7] = 0.0
+        y = X[:, 0] - X[:, 1] + 0.5 * rng.standard_normal(40)
+        est = estimate_noise_variance(Dataset(X, y))
+        assert 0.25 * 0.75 ** 2 <= est <= 0.25 * 1.33 ** 2
 
     def test_config_validation(self):
         with pytest.raises(DomainError):

@@ -16,6 +16,7 @@ import ewselect
 from ewselect import cli
 from ewselect.cli import main, read_dataset_csv
 from ewselect.errors import DomainError, NonFiniteError
+from ewselect.experiments import ExperimentSpec, generate_instance
 
 from conftest import duplicated_column_lasso, normalized_gaussian
 
@@ -356,6 +357,46 @@ sys.exit(cli.main(["fit", {str(path)!r}, "--sigma", "1"]))
     assert "Traceback" not in err and err.endswith("interrupted\n")
 
 
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="no process groups")
+def test_interrupt_while_forking_leaves_no_process(tmp_path):
+    # Ctrl-C right after each fork of a parser, where an after-fork hook
+    # would swallow it or the new child is not yet listed for the parent
+    # to end: the parent still ends every child and exits 130
+    path = tmp_path / "d.csv"
+    path.write_text("y,x1\n" + "1,2\n" * 40)
+    code = f"""
+import os, signal, sys, time
+from ewselect import cli
+cli._BLOCK_BYTES = 1
+os.sched_getaffinity = lambda pid: set(range(4))
+def slow(*args):
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    time.sleep(60)
+cli._parse_child = slow
+os.register_at_fork(
+    after_in_parent=lambda: os.kill(os.getpid(), signal.SIGINT))
+sys.exit(cli.main(["fit", {str(path)!r}, "--sigma", "1"]))
+"""
+    src = os.path.dirname(os.path.dirname(ewselect.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.Popen([sys.executable, "-c", code], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        _, err = proc.communicate(timeout=60)
+        with pytest.raises(ProcessLookupError):  # the group is empty
+            os.killpg(proc.pid, 0)
+    finally:
+        try:
+            os.killpg(proc.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+        proc.wait()
+    assert proc.returncode == 130
+    assert "Traceback" not in err and err.endswith("interrupted\n")
+
+
 BAD_FILES = [
     ("", DomainError, "empty file"),
     ("y,x1,x2\n", DomainError, "no data rows"),
@@ -475,6 +516,15 @@ class TestFitCommand:
         assert code == 0
         err = capsys.readouterr().err
         assert "estimated sigma" in err
+
+    def test_estimated_sigma_holds_at_p_above_n(self, tmp_path, capsys):
+        data, _, _ = generate_instance(
+            ExperimentSpec(n=100, p=1000, sparsity=5, seed=0), 0)
+        path = tmp_path / "wide.csv"
+        write_dataset_csv(path, data.X, data.y)
+        assert main(["fit", str(path), "--t0", "50", "--t", "100"]) == 0
+        est = re.search(r"estimated sigma = (\S+)", capsys.readouterr().err)
+        assert 0.75 <= float(est.group(1)) / data.sigma <= 1.33
 
     def test_rescaled_fit_reports_original_units(self, tmp_path, rng, capsys):
         n = 60

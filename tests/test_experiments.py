@@ -166,6 +166,19 @@ class TestRunExperiment:
         summ = run_experiment(spec)
         assert summ.lasso_a == 0.5
 
+    def test_tuning_generates_each_replication_once(self, monkeypatch):
+        reps = []
+        generate = exps.generate_instance
+
+        def counted(spec, rep):
+            reps.append(rep)
+            return generate(spec, rep)
+
+        monkeypatch.setattr(exps, "generate_instance", counted)
+        exps.tune_lasso_multiplier(tiny_spec(reps=12, methods=("lasso",),
+                                             tune_reps=10))
+        assert reps == list(range(10))
+
     def test_summary_statistics_in_valid_ranges(self):
         spec = tiny_spec(reps=4)
         summ = run_experiment(spec)
