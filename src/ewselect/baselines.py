@@ -295,9 +295,12 @@ def estimate_noise_variance(data: Dataset) -> float:
     lam = sigma sqrt(2 log p / n) with sigma = ||y - X b|| / sqrt(n), until
     sigma moves by less than 1e-3 relative or after 20 fits.  The estimate
     is rss / (n - |J|) of the least-squares refit on the last fit's support
-    J (Reid, Tibshirani & Friedman, Statistica Sinica 2016).
+    J (Reid, Tibshirani & Friedman, Statistica Sinica 2016).  At n < 2 no
+    nonempty support leaves a residual degree of freedom: DomainError.
     """
     n = data.n
+    if n < 2:
+        raise DomainError("need n >= 2 rows to estimate the noise variance")
     rate = math.sqrt(2.0 * math.log(data.p) / n)
     sigma = math.sqrt(data.yty / n)
     for _ in range(20):

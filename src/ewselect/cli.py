@@ -33,7 +33,7 @@ from .errors import (DomainError, NonFiniteError, NotConvergedError,
 from .experiments import _g17, emit, parse_spec_file, run_experiment
 from .mcmc import (MOVES, ChainConfig, default_threshold, posterior_mean,
                    run_chain, threshold_coefficients)
-from .priors import PosteriorConfig, practical_lambda
+from .priors import PosteriorConfig, practical_lambda, support_cap
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -346,9 +346,9 @@ def _cmd_fit(args) -> int:
         sigma2 = sigma * sigma
     if sigma2 <= 0:
         raise DomainError("noise variance must be positive to run the sampler")
-    cap = args.sbar if args.sbar is not None else max(data.n // 2, 1)
     pcfg = PosteriorConfig(lam=practical_lambda(data.p, args.lambda_kappa),
-                           max_support=cap, sigma2=sigma2)
+                           max_support=support_cap(data.n, args.sbar),
+                           sigma2=sigma2)
     ccfg = ChainConfig(burn_in=args.t0, samples=args.t, seed=args.seed)
     t_chain = time.perf_counter()
     acc = run_chain(data, pcfg, ccfg)

@@ -23,7 +23,7 @@ from .data import Dataset
 from .errors import DomainError, EwselectError
 from .mcmc import ChainConfig, default_threshold, posterior_mean, run_chain, \
     threshold_coefficients
-from .priors import PosteriorConfig, practical_lambda
+from .priors import PosteriorConfig, practical_lambda, support_cap
 from .svgplot import boxplot_svg
 
 METHOD_NAMES = ("ew", "lasso", "l0")
@@ -145,10 +145,10 @@ def fit_exponential_weights(data: Dataset, spec: ExperimentSpec, rep: int):
     sigma = data.sigma
     if not sigma or sigma <= 0:
         raise DomainError("exponential-weights fit needs a positive sigma")
-    cap = spec.max_support if spec.max_support is not None else max(data.n // 2, 1)
     pcfg = PosteriorConfig(
         lam=practical_lambda(data.p, spec.lambda_kappa),
-        max_support=cap, sigma2=sigma * sigma)
+        max_support=support_cap(data.n, spec.max_support),
+        sigma2=sigma * sigma)
     ccfg = replace(spec.chain, seed=_chain_seed(spec, rep))
     acc = run_chain(data, pcfg, ccfg)
     mean = posterior_mean(acc)
@@ -170,10 +170,10 @@ def fit_l0_greedy(data: Dataset, spec: ExperimentSpec):
     sigma = data.sigma
     if not sigma or sigma <= 0:
         raise DomainError("subset-penalty fit needs a positive sigma")
-    cap = spec.max_support if spec.max_support is not None else max(data.n // 2, 1)
     lam = 2.0 * sigma * sigma * practical_lambda(data.p, spec.lambda_kappa)
-    support, beta = l0_select(
-        data, L0Config(lam=lam, max_support=cap, strategy="greedy"))
+    support, beta = l0_select(data, L0Config(
+        lam=lam, max_support=support_cap(data.n, spec.max_support),
+        strategy="greedy"))
     return beta, support
 
 

@@ -5,25 +5,18 @@ proposals: flip (toggle one uniformly chosen coordinate) and swap (exchange
 a uniform member for a uniform non-member, drawn by rejection), so
 acceptance reduces to the posterior ratio.  The kernel weighs a support as
 log prior(|J|) - rss / (2 sigma^2) from the RSS its subset state holds.  It
-memoizes log-weights by support bitmask, and the current state's removals
-by column: a remove flip's candidate is a swap's intermediate, so both read
-one removal, built once per stay.  Memoization only caches deterministic
-quantities, so the sampled law is identical to the plain kernel.
+memoizes the current state's removals by column: a remove flip's candidate
+is a swap's intermediate, so both read one removal, built once per stay.
 
 Nearly every step is a rejection, so a stay on one support lasts hundreds
 of steps, and the uniforms that fix its proposals are drawn in advance.
-A stay starts with scalar steps.  Once they have paid for a
-subsets.Neighbours build in memo misses, or have lasted _HEAD steps,
-_scan decodes a window of those proposals with numpy, scores them all from
-the stay's Neighbours, and rejects in bulk every step before the first one
-that may be accepted within the scores' rounding slack; the scalar step
-takes that step.
-Windows leave the law of the chain unchanged, and they take the steps
-scalar steps alone would take, reading the random stream in the same
-order, except possibly after a tie to within rounding at a scalar step
-that reads the log-weight memo: windows do not fill the memo, and a
-memoized log-weight's last bits depend on the base it was first computed
-from.
+A stay starts with _head(p) scalar steps, about the cost of one
+subsets.Neighbours build in peeks.  Past them, _scan decodes a window of
+those proposals with numpy, scores them all from the stay's Neighbours, and
+rejects in bulk every step before the first one that may be accepted within
+the scores' rounding slack; the scalar step takes that step.  Windows leave
+the law of the chain unchanged, and they take exactly the steps scalar
+steps alone would take, reading the random stream in the same order.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ from .subsets import (Neighbours, SubsetState, _check_subset,
                       update_add, update_remove)
 
 VISIT_CAP = 100_000        # most distinct supports kept in the histogram
-LOGW_CACHE_CAP = 1024      # memoized log-weights; more saved < 0.2 % of peeks
 _BLOCK = 16384
 _HEAD = 128               # most scalar steps at the start of a stay
 _WINDOW = 1024            # steps a window scans at most
@@ -197,10 +189,10 @@ def _initial_support(data: Dataset, pcfg: PosteriorConfig, init) -> tuple[int, .
     return support
 
 
-def _head_misses(p: int) -> int:
-    """Memo misses that open a stay's first window on a p-column design:
-    one Neighbours build costs about as much as this many peeks."""
-    return max(8, p // 25)
+def _head(p: int) -> int:
+    """Scalar steps that open a stay's first window on a p-column design:
+    one Neighbours build costs about as much as max(8, p // 25) peeks."""
+    return min(_HEAD, max(8, p // 25))
 
 
 def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
@@ -212,9 +204,8 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     `state` or the memoized removal of `drop`; an accepted move keeps only
     the new state's one known removal, its base less `add`.
 
-    A stay takes scalar steps until it has made _head_misses(p) memo
-    misses or lasted _HEAD steps, and so does every stay on a
-    rank-deficient state.  Past them, _scan rejects runs of
+    A stay takes _head(p) scalar steps, and every stay on a rank-deficient
+    state takes only scalar steps.  Past them, _scan rejects runs of
     steps in windows that never cross a block, and the scalar step takes
     the step a window stops at, so every acceptance, dense fallback and
     pool refill is a scalar step and the uniforms are consumed in the
@@ -232,7 +223,6 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
         mask |= 1 << j
     lw_cur = float(lp[state.size]) - state.rss / twos2
 
-    logws = {mask: lw_cur}
     removals: dict[int, SubsetState] = {}
     visits: dict[tuple[int, ...], int] = {}
     visit_overflow = 0
@@ -275,15 +265,13 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
             out = removals[drop] = update_remove(state, drop, data)
         return out
 
-    head_misses = _head_misses(p)
+    head = _head(p)
     t = 0
     stay_start = 0     # the step that reached the current state
-    misses = 0         # the stay's log-weights missing from the memo
     scores = None      # its Neighbours, built by the first window
     drawn = -1         # the block start whose uniforms a window drew
     while t < total:
-        if state.linv is not None and (t - stay_start >= _HEAD
-                                       or misses >= head_misses):
+        if state.linv is not None and t - stay_start >= head:
             i = t % block
             if i == 0:
                 move_u, coord_u, logacc = draw()
@@ -310,7 +298,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
         elif state.linv is None:
             stop = total
         else:
-            stop = min(total, stay_start + _HEAD)
+            stop = min(total, stay_start + head)
 
         for t in range(t, stop):
             i = t % block
@@ -341,30 +329,21 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
 
             acc_flag = False
             if kind:
-                lw_c = logws.get(cand_mask)
-                if lw_c is None:
-                    misses += 1
-                    b = base(drop)
-                    rss_c = b.rss if add < 0 else peek_rss_add(b, add, data)
-                    lw_c = float(lp[cand_mask.bit_count()]) - rss_c / twos2
-                    if len(logws) < LOGW_CACHE_CAP:
-                        logws[cand_mask] = lw_c
+                b = base(drop)
+                rss_c = b.rss if add < 0 else peek_rss_add(b, add, data)
+                lw_c = float(lp[b.size + (add >= 0)]) - rss_c / twos2
                 if lw_c - lw_cur > logacc[i]:
                     acc_flag = True
                     accepted[kind] += 1
-                    b = base(drop)
-                    new_state = b if add < 0 else update_add(b, add, data)
-                    removals.clear()
-                    if add >= 0:
-                        removals[add] = b
                     if t >= burn:
                         flush(run_len)
                     run_len = 0
+                    state = b if add < 0 else update_add(b, add, data)
+                    removals.clear()
+                    if add >= 0:
+                        removals[add] = b
                     mask = cand_mask
-                    state = new_state
-                    # from the state's own RSS: the bits of lw_c depend on
-                    # the base it was memoized from
-                    lw_cur = float(lp[state.size]) - state.rss / twos2
+                    lw_cur = lw_c      # peek_rss_add is update_add's RSS
                     if lw_cur > best_lw:
                         best_support, best_lw = state.support, lw_cur
 
@@ -375,10 +354,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
                                    int(acc_flag)))
             if acc_flag:
                 stay_start = t + 1
-                misses = 0
                 scores = None
-                break
-            if misses >= head_misses and state.linv is not None:
                 break
         t += 1
 

@@ -50,6 +50,11 @@ class PosteriorConfig:
                 raise DomainError("independence prior requires 0 < omega < 1")
 
 
+def support_cap(n: int, cap: int | None = None) -> int:
+    """`cap`, or by default max(n // 2, 1) for an n-row design."""
+    return cap if cap is not None else max(n // 2, 1)
+
+
 def log_binomial(p: int, s: int) -> float:
     """log C(p, s) via log-gamma; exact enough for p up to 1e6."""
     return (

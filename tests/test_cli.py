@@ -548,6 +548,12 @@ class TestFitCommand:
         path.write_text("y,a\n1,2\n")
         assert main(["fit", str(path)]) == 2
 
+    def test_one_row_without_sigma_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "one.csv"
+        path.write_text("y,x1,x2\n1,2,3\n")
+        assert main(["fit", str(path)]) == 2
+        assert "noise variance" in capsys.readouterr().err
+
     def test_missing_file_exit_code(self, capsys):
         assert main(["fit", "/nonexistent/file.csv"]) == 2
 

@@ -81,9 +81,9 @@ def dependent_design():
 def windowed_and_scalar(monkeypatch, data, cfg, start, steps, mix, block,
                         make_rng):
     """The chain kernel run twice on equal streams, scanning windows from
-    the first step of every stay (_HEAD and the miss threshold 0) and
-    taking scalar steps only (both never reached): [(trace rows,
-    accumulators, rank flags the scorer raised)] in that order."""
+    the first step of every stay (a head of 0 steps) and taking scalar
+    steps only (a head never reached): [(trace rows, accumulators, rank
+    flags the scorer raised)] in that order."""
     import ewselect.mcmc as mcmc
     out = []
     for head in (0, 10 ** 9):
@@ -95,8 +95,7 @@ def windowed_and_scalar(monkeypatch, data, cfg, start, steps, mix, block,
                 flags.append(int(np.isinf(slack).sum()))
                 return rss, slack
 
-        monkeypatch.setattr(mcmc, "_HEAD", head)
-        monkeypatch.setattr(mcmc, "_head_misses", lambda p, head=head: head)
+        monkeypatch.setattr(mcmc, "_head", lambda p, head=head: head)
         monkeypatch.setattr(mcmc, "Neighbours", Spy)
         rows = []
         acc = mcmc._walk(data, cfg, make_state(data, start), steps // 5,
@@ -277,18 +276,10 @@ class TestRunChain:
         # its add on the removal the flip built
         data, _ = planted_instance(41, 20, 6, [1.0, -0.8], sigma=0.5)
         cfg = PosteriorConfig(lam=2.0, max_support=4, sigma2=data.sigma ** 2)
-        draws = iter([[0.5 / 6, 0.5],        # swap add pool: column 0
-                      [0.0, 0.99],           # move: flip, then swap
-                      [1.5 / 6, 0.25],       # flip column 1; swap member 0
-                      [1e300, 1e300]])       # acceptance uniforms
-
-        class ScriptedRng:
-            def random(self, size):
-                out = np.asarray(next(draws))
-                assert out.shape == (size,)
-                return out
-
-        import ewselect.mcmc as mcmc
+        script = [[0.5 / 6, 0.5],            # swap add pool: column 0
+                  [0.0, 0.99],               # move: flip, then swap
+                  [1.5 / 6, 0.25],           # flip column 1; swap member 0
+                  [1e300, 1e300]]            # acceptance uniforms
         peeked = []
         real_peek = mcmc.peek_rss_add
 
@@ -298,7 +289,7 @@ class TestRunChain:
 
         monkeypatch.setattr(mcmc, "peek_rss_add", peek_spy)
         built, rows = walk_removals(monkeypatch, data, cfg, (1, 3), 2,
-                                    ScriptedRng(), block=2)
+                                    ScriptedRng(script), block=2)
         assert [r[3] for r in rows] == [0, 0]
         assert [(t, support, j) for t, support, j, _ in built] == \
             [(0, (1, 3), 1)]
@@ -535,8 +526,9 @@ class TestWindows:
         (rows_w, acc_w, flags), (rows_s, acc_s, _) = windowed_and_scalar(
             monkeypatch, data, cfg, start, 3000, mix, block,
             lambda: np.random.default_rng(8))
-        assert [(r[1], r[3]) for r in rows_w] == [(r[1], r[3])
-                                                  for r in rows_s]
+        assert rows_w == rows_s
+        assert acc_w.best_support == acc_s.best_support
+        assert acc_w.best_log_weight == acc_s.best_log_weight
         assert acc_w.visit_counts == acc_s.visit_counts
         assert acc_w.accepted == acc_s.accepted
         assert np.array_equal(acc_w.mean_sum, acc_s.mean_sum)
@@ -586,6 +578,43 @@ class TestWindows:
                     lambda: ScriptedRng(script))
                 assert acc_s.accepted == int(gain > t)
                 assert acc_w.accepted == acc_s.accepted
+
+    def test_a_support_reached_from_two_bases_is_decided_alike(
+            self, monkeypatch):
+        # {a, b} scored from {a} (adding b) and from {b} (adding a) differs
+        # in its last bits.  The chain proposes adding b at {a} (rejected),
+        # swaps a for b (accepted), and proposes adding a with the
+        # log-uniform at the smaller of the two gains: the step must go the
+        # same way whether or not a window scored the first proposal.
+        data = self.DESIGNS["40x15"]()
+        p = data.p
+        cfg = PosteriorConfig(lam=practical_lambda(p), max_support=6,
+                              sigma2=data.sigma ** 2)
+        lp = log_prior_table(p, cfg)
+
+        def lw(size, rss):      # as the kernel weighs a support
+            return float(lp[size]) - rss / (2.0 * cfg.sigma2)
+
+        cases = []
+        for a, b in itertools.permutations(range(p), 2):
+            st_a, st_b = make_state(data, (a,)), make_state(data, (b,))
+            cur = lw(1, st_b.rss)
+            from_a = lw(2, peek_rss_add(st_a, b, data)) - cur
+            from_b = lw(2, peek_rss_add(st_b, a, data)) - cur
+            if from_a != from_b and max(from_a, from_b) < -1.0:
+                cases.append((a, b, from_b, min(from_a, from_b)))
+        assert cases
+        for a, b, gain, t in cases:
+            script = [[(b + 0.5) / p] * 3,               # swap pool: b
+                      [0.0, 0.99, 0.0],                  # flip, swap, flip
+                      [(b + 0.5) / p, 0.0, (a + 0.5) / p],
+                      [REJECT, ACCEPT, uniform_with_log(t)]]
+            (rows_w, acc_w, _), (rows_s, acc_s, _) = windowed_and_scalar(
+                monkeypatch, data, cfg, (a,), 3, (0.5, 0.5), 3,
+                lambda: ScriptedRng(script))
+            assert [r[3] for r in rows_s] == [0, 1, int(gain > t)]
+            assert rows_w == rows_s
+            assert acc_w.best_log_weight == acc_s.best_log_weight
 
     def test_pool_runs_out_inside_a_window(self, monkeypatch):
         # four swaps from (1, 3) that all drop column 1 and are rejected
@@ -639,68 +668,24 @@ REJECT, ACCEPT = 1e300, 1e-300     # acceptance uniforms, logs +-690
 
 
 class TestHead:
-    """A stay's first window opens once its memo misses have paid for a
-    Neighbours build, or after _HEAD scalar steps, whichever comes first."""
+    """A stay's first window opens after _head(p) scalar steps."""
 
-    def test_stays_that_hit_the_memo_keep_the_step_head(self, monkeypatch):
-        # c1's shape, p = 10: stay 1 on (0, 1) misses 7 times, under the
-        # floor of 8, and accepts the add of column 2; every step of stay 2
-        # proposes the drop of column 2, back to (0, 1), which the memo holds
-        data, _ = planted_instance(54, 30, 10, [1.0, 0.6], sigma=1.0)
-        cfg = PosteriorConfig(lam=practical_lambda(10), max_support=4,
-                              sigma2=1.0)
-        assert mcmc._head_misses(10) == 8
-        steps = ([(c, REJECT) for c in range(3, 10)] + [(2, ACCEPT)]
-                 + [(2, REJECT)] * 140)
-        built, rows = window_builds(monkeypatch, data, cfg, (0, 1), steps)
-        assert [r[0] for r in rows if r[3]] == [7]
-        assert built == [8 + mcmc._HEAD]
-
-    @pytest.mark.parametrize("p", [200, 500])
-    def test_misses_open_the_window_before_the_step_head(self, monkeypatch,
-                                                         p):
-        # each stay misses h - 1 times and then hits the memo; the count
-        # restarts on the accepted add of column 2, and stay 2's h-th miss
-        # opens a window at the next step
+    @pytest.mark.parametrize("p", [10, 200, 500, 3200])
+    def test_first_build_after_the_head(self, monkeypatch, p):
+        # two stays, on the planted support and then on it and column 5:
+        # each proposes adding column p - 1 (rejected) h + 5 times, and the
+        # first ends on the accepted add of column 5
         data, _ = planted_instance(55, 100, p, [1.0] * 5, sigma=0.75)
-        cfg = PosteriorConfig(lam=practical_lambda(p), max_support=5,
+        cfg = PosteriorConfig(lam=practical_lambda(p), max_support=7,
                               sigma2=data.sigma ** 2)
-        h = mcmc._head_misses(p)
-        assert h == max(8, p // 25) and h + 40 < mcmc._HEAD
-        stay1 = ([(c, REJECT) for c in range(10, 10 + h - 1)]
-                 + [(10, REJECT)] * 20 + [(2, ACCEPT)])
-        stay2 = ([(c, REJECT) for c in range(40, 40 + h - 1)]
-                 + [(2, REJECT)] * 10 + [(40 + h - 1, REJECT)])
-        steps = stay1 + stay2 + [(3, REJECT)] * 15
-        built, rows = window_builds(monkeypatch, data, cfg, (0, 1), steps)
-        assert [r[0] for r in rows if r[3]] == [len(stay1) - 1]
-        assert built == [len(stay1) + len(stay2)]
-
-    def test_wide_designs_keep_the_step_head(self, monkeypatch):
-        # at p >= 3200 the threshold is at least _HEAD, and a step misses at
-        # most once: the chain makes the calls of one with no miss trigger
-        data, _ = planted_instance(56, 30, 3200, [1.2, -1.0, 0.9], sigma=0.6)
-        cfg = PosteriorConfig(lam=practical_lambda(data.p), max_support=6,
-                              sigma2=data.sigma ** 2)
-        assert mcmc._head_misses(3200) >= mcmc._HEAD
-        real_peek = mcmc.peek_rss_add
-        runs = []
-        for head_misses in (mcmc._head_misses, lambda p: 10 ** 9):
-            peeks = []
-
-            def spy(state, j, d):
-                peeks.append(int(j))
-                return real_peek(state, j, d)
-
-            monkeypatch.setattr(mcmc, "peek_rss_add", spy)
-            monkeypatch.setattr(mcmc, "_head_misses", head_misses)
-            acc = mcmc._walk(data, cfg, make_state(data, ()), 500, 3000,
-                             (0.5, 0.5), np.random.default_rng(9),
-                             mcmc._BLOCK, None)[1]
-            runs.append((peeks, acc.neighbour_builds, acc.window_steps,
-                         acc.accepted))
-        assert runs[0] == runs[1]
-        assert runs[0][1] > 1 and runs[0][3] > 0
+        h = mcmc._head(p)
+        assert h == min(mcmc._HEAD, max(8, p // 25))
+        stay = [(p - 1, REJECT)] * (h + 5)
+        steps = stay + [(5, ACCEPT)] + stay
+        built, rows = window_builds(monkeypatch, data, cfg, tuple(range(5)),
+                                    steps)
+        assert [r[0] for r in rows if r[3]] == [h + 5]
+        assert built == [h, h + 6 + h]
 
 
 class TestThreshold:
