@@ -15,8 +15,9 @@ import numpy as np
 from .data import Dataset
 from .enumeration import _penalized_scan, check_cap, subset_count
 from .errors import DomainError, NotConvergedError, SingularError
-from .subsets import (EPS_RANK, _check_subset, least_squares_min_norm,
-                      residual_ss)
+from .subsets import (EPS_RANK, Neighbours, _check_subset, empty_state,
+                      least_squares_min_norm, residual_ss, update_add,
+                      update_remove)
 
 
 @dataclass(frozen=True)
@@ -77,38 +78,30 @@ def _exhaustive_l0(data: Dataset, cfg: L0Config):
 
 def _greedy_l0(data: Dataset, lam: float, cap: int) -> tuple[int, ...]:
     """Forward selection under rss + lam |J| over supports of at most `cap`
-    columns, then one backward sweep."""
-    n = data.n
-    U = np.array(data.X)          # columns progressively orthogonalized
-    r = np.array(data.y)
-    support: list[int] = []
-    rss = best_score = data.yty
-    eps_n = EPS_RANK * n
-    while len(support) < min(cap, n):
-        den = np.einsum("ij,ij->j", U, U)
-        num = U.T @ r
-        gain = np.where(den > eps_n, num * num / np.where(den > eps_n, den, 1.0), 0.0)
-        if support:
-            gain[np.asarray(support)] = 0.0
-        cand = np.maximum(rss - gain, 0.0)
-        scores = cand + lam * (len(support) + 1)
-        j = int(np.argmin(scores))
-        if not scores[j] < best_score:
+    columns, then one backward sweep.  Each forward step scores every add
+    with one Neighbours build and builds the best with update_add; it stops
+    when no add clears the rank rule, or when the built state is
+    rank-deficient or fails to lower the criterion strictly."""
+    state, best_score, p = empty_state(data), data.yty, data.p
+    while state.size < min(cap, data.n):
+        rss, slack = Neighbours(state, data).rss(np.full(p, -1), np.arange(p))
+        rss[np.isinf(slack)] = np.inf
+        rss[list(state.support)] = np.inf
+        j = int(np.argmin(rss))
+        if rss[j] == np.inf:
             break
-        best_score = float(scores[j])
-        rss = float(cand[j])
-        support.append(j)
-        q = U[:, j] / math.sqrt(den[j])
-        U -= np.outer(q, q @ U)
-        r -= q * float(q @ r)
+        nxt = update_add(state, j, data)
+        score = nxt.rss + lam * nxt.size
+        if nxt.linv is None or not score < best_score:
+            break
+        state, best_score = nxt, score
     # one backward-elimination pass over a snapshot of the support
-    for j in sorted(support):
-        reduced = [v for v in support if v != j]
-        val = residual_ss(data, reduced) + lam * len(reduced)
-        if val < best_score:
-            best_score = val
-            support = reduced
-    return tuple(sorted(support))
+    for j in state.support:
+        reduced = update_remove(state, j, data)
+        score = reduced.rss + lam * reduced.size
+        if score < best_score:
+            state, best_score = reduced, score
+    return state.support
 
 
 def l0_select(data: Dataset, cfg: L0Config):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import math
 import mmap
@@ -27,7 +28,7 @@ import numpy as np
 from .baselines import (LassoConfig, default_lasso_penalty,
                         estimate_noise_variance, lasso_coordinate_descent)
 from .data import Dataset, rescale_columns
-from .diagnostics import design_report
+from .diagnostics import DesignReport, design_report
 from .errors import (DomainError, NonFiniteError, NotConvergedError,
                      SingularError, TooLargeError)
 from .experiments import _g17, emit, parse_spec_file, run_experiment
@@ -285,6 +286,8 @@ def read_dataset_csv(path, sigma=None, rescale=False):
         if "y" not in header:
             raise DomainError(f"{path}: missing 'y' column")
         x_names = [h for h in header if h != "y"]
+        if not x_names:
+            raise DomainError(f"{path}: no predictor columns")
         expected = [f"x{i}" for i in range(1, len(x_names) + 1)]
         if sorted(x_names) != sorted(expected):
             raise DomainError(
@@ -389,6 +392,15 @@ def _cmd_lasso(args) -> int:
     return EXIT_OK
 
 
+def _csv_cell(v):
+    """None as an empty cell, a bool as 0/1, a float to 17 digits."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return int(v)
+    return _g17(v) if isinstance(v, float) else v
+
+
 def _cmd_diagnose(args) -> int:
     data, _ = read_dataset_csv(args.data, rescale=args.rescale)
     try:
@@ -403,21 +415,13 @@ def _cmd_diagnose(args) -> int:
                for s in sizes]
     if args.format == "csv":
         w = csv.writer(sys.stdout)
-        w.writerow(["s", "min_singular", "max_singular", "mode", "samples",
-                    "identifiable_2s", "signal_threshold"])
+        w.writerow([f.name for f in dataclasses.fields(DesignReport)])
         for r in reports:
-            w.writerow([r.s, _g17(r.min_singular), _g17(r.max_singular),
-                        r.mode, r.samples if r.samples is not None else "",
-                        "" if r.identifiable_2s is None else int(r.identifiable_2s),
-                        "" if r.signal_threshold is None else _g17(r.signal_threshold)])
+            w.writerow([_csv_cell(v) for v in dataclasses.astuple(r)])
     else:
         import json
         for r in reports:
-            print(json.dumps({
-                "s": r.s, "min_singular": r.min_singular,
-                "max_singular": r.max_singular, "mode": r.mode,
-                "samples": r.samples, "identifiable_2s": r.identifiable_2s,
-                "signal_threshold": r.signal_threshold}, sort_keys=True))
+            print(json.dumps(dataclasses.asdict(r), sort_keys=True))
     return EXIT_OK
 
 

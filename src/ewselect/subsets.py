@@ -9,10 +9,10 @@ removal keeps the leading block (the inverse of the factor's leading block)
 and re-appends the columns after the removed one in O(n |J|^2), so no update
 error builds up.  Rank-deficient supports (Schur pivot rule) fall back to
 dense minimum-norm evaluation, so every subset of columns is a valid state.
-The chain, the MAP refit and the l0 refit all read these states; the prior
-weight of a support is the caller's business.  Neighbours scores every
-add, drop and swap of one full-rank state at once, for the chain's
-windows.
+The chain, greedy l0 and the refits read these states; the prior weight
+of a support is the caller's business.  Neighbours scores every add, drop
+and swap of one full-rank state at once, for the chain's windows and
+greedy l0's forward steps.
 """
 
 from __future__ import annotations

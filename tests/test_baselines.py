@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -13,6 +14,7 @@ from ewselect import (Dataset, DomainError, ExperimentSpec, L0Config,
                       lasso_kkt_violation, residual_ss)
 from ewselect import baselines
 from ewselect.baselines import lasso_objective
+from ewselect.subsets import EPS_RANK
 
 from conftest import (duplicated_column_lasso, normalized_gaussian,
                       planted_instance)
@@ -26,6 +28,48 @@ def brute_force_l0(data, lam, s_max):
             if val < best_val:
                 best_val, best = val, sub
     return best, best_val
+
+
+def reference_greedy_l0(data, lam, cap):
+    """Greedy l0 scored with residual_ss: add the column whose support has
+    the least RSS (the first within rounding of it; columns under the rank
+    rule are skipped) while rss + lam |J| strictly falls, then one backward
+    pass over a snapshot of the support."""
+    support, best = [], data.yty
+    tol = 1e-9 * (1.0 + data.yty)
+    while len(support) < min(cap, data.n):
+        basis = np.linalg.svd(data.X[:, support], full_matrices=False)[0]
+        scores = {}
+        for j in set(range(data.p)) - set(support):
+            x = data.X[:, j]
+            resid = x - basis @ (basis.T @ x)
+            if resid @ resid > EPS_RANK * data.n:
+                scores[j] = residual_ss(data, support + [j])
+        if not scores:
+            break
+        least = min(scores.values())
+        j = min(k for k, v in scores.items() if v <= least + tol)
+        score = scores[j] + lam * (len(support) + 1)
+        if not score < best:
+            break
+        support, best = support + [j], score
+    for j in sorted(support):
+        reduced = [v for v in support if v != j]
+        score = residual_ss(data, reduced) + lam * len(reduced)
+        if score < best:
+            support, best = reduced, score
+    return tuple(sorted(support))
+
+
+def dependent_columns_design():
+    """(30, 12) design whose column 7 repeats column 3 and whose column 9
+    is x0 - 2 x5, with y on columns 0, 3, 5 and 9."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((30, 12))
+    X[:, 7] = X[:, 3]
+    X[:, 9] = X[:, 0] - 2.0 * X[:, 5]
+    y = X[:, [0, 3, 5, 9]] @ np.array([1.0, -1.0, 0.5, 2.0])
+    return Dataset(X, y + 0.3 * rng.standard_normal(30))
 
 
 class TestL0Select:
@@ -81,6 +125,45 @@ class TestL0Select:
         sup, _ = l0_select(data, L0Config(lam=lam, max_support=7,
                                           strategy="greedy"))
         assert sup == (0, 1, 2)
+
+    def test_greedy_matches_reference(self):
+        # a common factor correlates the columns, so that on some of these
+        # designs the backward pass drops a column
+        rng = np.random.default_rng(24)
+        for trial in range(20):
+            n, p = 30, int(rng.integers(6, 16))
+            X = rng.standard_normal((n, p)) + rng.standard_normal((n, 1))
+            beta = np.zeros(p)
+            beta[rng.choice(p, 3, replace=False)] = rng.uniform(0.3, 2.0, 3)
+            d = Dataset(X, X @ beta + rng.standard_normal(n))
+            for lam in (0.0, 0.05, 0.5, 3.0):
+                sup, _ = l0_select(d, L0Config(lam=lam, max_support=p,
+                                               strategy="greedy"))
+                assert sup == reference_greedy_l0(d, lam, p), (trial, lam)
+
+    @pytest.mark.parametrize("lam,expect", [
+        (0.0, (0, 1, 2, 3, 4, 6, 8, 9, 10, 11)),
+        (1e-12, (0, 1, 2, 3, 4, 6, 8, 9, 10, 11)),
+        (0.5, (0, 3, 9))])
+    def test_greedy_skips_dependent_columns(self, lam, expect):
+        d = dependent_columns_design()
+        sup, beta = l0_select(d, L0Config(lam=lam, max_support=12,
+                                          strategy="greedy"))
+        assert sup == reference_greedy_l0(d, lam, 12) == expect
+        assert np.all(np.isfinite(beta))
+
+    def test_greedy_memory_is_bounded_by_x(self):
+        # X is 6.4 MB; greedy reads it through data.xt and keeps O(p |J|)
+        data, _ = planted_instance(40, 200, 4000, [2.0, -2.0, 2.0], sigma=0.5)
+        lam = 2.0 * data.sigma ** 2 * math.log(4000) * 4
+        tracemalloc.start()
+        try:
+            sup = baselines._greedy_l0(data, lam, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sup == (0, 1, 2)
+        assert peak < 0.25 * data.X.nbytes
 
     def test_exhaustive_cap(self, rng):
         from ewselect import TooLargeError

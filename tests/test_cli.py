@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ import pytest
 import ewselect
 from ewselect import cli
 from ewselect.cli import main, read_dataset_csv
+from ewselect.diagnostics import design_report
 from ewselect.errors import DomainError, NonFiniteError
 from ewselect.experiments import ExperimentSpec, generate_instance
 
@@ -432,6 +434,18 @@ def test_bad_file_rejected(tmp_path, capsys, text, exc, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["fit"], ["lasso", "--lambda-l", "1"],
+                                     ["diagnose", "--s", "1"]])
+def test_response_only_file_exit_code(tmp_path, capsys, command):
+    # a header with y and no x column is a malformed header, not a crash
+    path = tmp_path / "y.csv"
+    path.write_text("y\n1\n2\n")
+    assert main([command[0], str(path)] + command[1:]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert "error:" in captured.err and "no predictor columns" in captured.err
+
+
 @pytest.mark.parametrize("text,exc,message", BAD_FILES)
 def test_bad_file_rejected_in_blocks(split_blocks, tmp_path, capsys, text,
                                      exc, message):
@@ -632,6 +646,32 @@ class TestDiagnoseCommand:
         assert code == 0
         rec = json.loads(capsys.readouterr().out.strip())
         assert rec["mode"] == "mc" and rec["samples"] == 32
+
+    @pytest.mark.parametrize("flags,kwargs", [
+        (["--sigma", "0.4", "--lam", "0.3"], {"sigma": 0.4, "lam": 0.3}),
+        (["--mode", "mc", "--samples", "32"], {"mode": "mc", "samples": 32})])
+    def test_csv_and_jsonl_agree(self, planted_csv, capsys, flags, kwargs):
+        import json
+        path = planted_csv[0]
+        data, _ = read_dataset_csv(path)
+        expect = [dataclasses.asdict(design_report(data, s, **kwargs))
+                  for s in (1, 2)]
+        assert main(["diagnose", str(path), "--s", "1,2"] + flags) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert main(["diagnose", str(path), "--s", "1,2", "--format", "jsonl"]
+                    + flags) == 0
+        records = [json.loads(line) for line
+                   in capsys.readouterr().out.splitlines()]
+        parse = {"s": int, "min_singular": float, "max_singular": float,
+                 "mode": str, "samples": int,
+                 "identifiable_2s": lambda v: bool(int(v)),
+                 "signal_threshold": float}
+        from_csv = [{k: None if v == "" else parse[k](v) for k, v in r.items()}
+                    for r in rows]
+        assert from_csv == records == expect
+        assert all(r["max_singular"] > 0 and
+                   (r["signal_threshold"] is None) == ("lam" not in kwargs)
+                   for r in records)
 
     def test_validation(self, planted_csv):
         path = planted_csv[0]
