@@ -81,7 +81,7 @@ def _shifted_cholesky_screen(G: np.ndarray, s: int, shift: float, want: str):
     A = G.copy()
     A[np.diag_indices(p)] -= shift
     for P, f, _, ok, _, rc, _ in _cholesky_walk(A, p, s - 1, 0.0,
-                                                leaves=True, factors=False):
+                                                leaves=True, coefs=False):
         k = P.shape[1]
         if k == s - 2:
             # leaf P[b] + (f+c, f+l), l > c, has last pivot rc[b, c, l]

@@ -4,9 +4,13 @@ Subsets of size s are materialized once per (p, s) as a lexicographic index
 array and cached.  Every exact scan runs on one prefix-sharing Cholesky walk
 (_cholesky_walk); carrying y as one more Gram column makes each node's last
 Schur entry its residual sum of squares (the leaps idea of Furnival &
-Wilson, Technometrics 1974).  One stream (_walk_fits) yields the fit of
-every subset the walk forms, rank-deficient fallbacks included; the
-posterior table (_subset_fits) and exhaustive l0 both read it.
+Wilson, Technometrics 1974).  When coefficients are wanted, each node also
+carries its regression coefficients on every later column, y included
+(the sweep operator's form of the node; Goodnight, The American
+Statistician 1979), so a child's fit is one O(|J|) update of its parent's,
+with no solve.  One stream (_walk_fits) yields the fit of every subset the
+walk forms, rank-deficient fallbacks included; the posterior table
+(_subset_fits) and exhaustive l0 both read it.
 
 The penalized scan (_penalized_scan, exhaustive l0) is a branch-and-bound
 on that stream.  RSS cannot rise as columns are added, so the subtree of a
@@ -23,7 +27,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict, defaultdict, namedtuple
-from functools import wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -128,19 +132,32 @@ def subset_rank(subsets, p: int):
     the combinatorial number system read from the end.
     """
     J = np.sort(np.asarray(subsets, dtype=np.intp), axis=-1)
-    k = J.shape[-1]
     if J.size and (J.min() < 0 or J.max() >= p
                    or np.any(J[..., 1:] == J[..., :-1])):
         raise DomainError(f"bad subset {subsets} for p={p}")
-    # binom[n, r] = C(n, r) by the hockey-stick identity; entries that wrap
-    # are never read (those read are at most C(p, k), and a C(p, k) beyond
-    # int64 raises OverflowError below)
+    rank = _lex_rank(J, p)
+    return int(rank) if J.ndim == 1 else rank
+
+
+def _lex_rank(J: np.ndarray, p: int):
+    """subset_rank of rows J that are already sorted, in range and free of
+    repeats; unchecked."""
+    k = J.shape[-1]
+    return ((math.comb(p, k) - 1)
+            - _binom(p, k)[p - 1 - J, k - np.arange(k)].sum(-1))
+
+
+@lru_cache(maxsize=64)
+def _binom(p: int, k: int) -> np.ndarray:
+    """binom[n, r] = C(n, r) for n < p and r <= k, by the hockey-stick
+    identity.  Entries that wrap are never read (those _lex_rank reads are
+    at most C(p, k), and a C(p, k) beyond int64 raises OverflowError)."""
     binom = np.zeros((p, k + 1), dtype=np.int64)
     binom[:, 0] = 1
     for r in range(1, k + 1):
         binom[1:, r] = np.cumsum(binom[:-1, r - 1])
-    rank = (math.comb(p, k) - 1) - binom[p - 1 - J, k - np.arange(k)].sum(-1)
-    return int(rank) if J.ndim == 1 else rank
+    binom.setflags(write=False)
+    return binom
 
 
 def gather_gram(G: np.ndarray, subs: np.ndarray) -> np.ndarray:
@@ -162,22 +179,28 @@ def _completions(P: np.ndarray, f: int, ok: np.ndarray, q: int, t: int):
 
 
 def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
-                   leaves: bool = False, factors: bool = True, bound=None):
+                   leaves: bool = False, coefs: bool = True, bound=None):
     """Prefix-sharing Cholesky factorizations of A[J, J] for every sorted
     subset J of range(q) with at most `depth` columns; columns q.. of the
     symmetric A are carried along, never branched on.
 
     A node is a prefix P (largest column m) with A[P, P] = L L',
     W = L^-1 A[P, m+1:] and Schur diagonal r = diag(A)[m+1:] - colsum(W^2).
+    With `coefs` it also carries B = A[P, P]^-1 A[P, m+1:] = L'^-1 W, the
+    sweep operator's form of the same node: child P + j, with t its new row
+    of W over sqrt(pivot), has B = [B[:, j+1:] - B[:, j] t ; t], so the
+    last column of B, the coefficients of the last column of A on P, costs
+    O(|P|) per child and no solve.
     Nodes of one size and largest column are expanded in batches of at most
     _SCREEN_ELEMS child entries, split over nodes and, when one node's
     children alone exceed that, over its child columns.  A batch is yielded
-    as (P, f, W, ok, w, rc, Lc): child P[b] + (f+c) succeeds (ok) when its
+    as (P, f, B, ok, w, rc, sq): child P[b] + (f+c) succeeds (ok) when its
     last pivot is > tol, not NaN; its new row of W is w[b, c], its r is
     rc[b, c] (both over the last w.shape[2] columns of A, from column f on)
-    and its factor is Lc[b, c].  Failed children and children of size
-    `depth` are not expanded; the latter's rows cover only the carried
-    columns.  Without `factors`, no factors are kept and Lc is None.
+    and sq[b, c] is the square root of its pivot (1 where it failed).
+    B[b] is the node's B over columns f.. of A, or None without `coefs`.
+    Failed children and children of size `depth` are not expanded; the
+    latter's rows cover only the carried columns.
 
     With `leaves`, only the pivots of the size depth + 1 subsets are wanted:
     children that cannot reach that size are skipped, and the last rows
@@ -192,10 +215,9 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
     """
     d = len(A)
     root = (np.empty((1, 0), np.intp), np.empty((1, 0, d)), np.diag(A)[None, :])
-    level = {-1: root + (np.empty((1, 0, 0)),) if factors else root}
+    level = {-1: root + (np.empty((1, 0, d)),) if coefs else root}
     for k in range(depth):
         last = k == depth - 1
-        kf = k + 1 if factors else 0   # size of the children's factors
         nxt = defaultdict(list)
         for m, qc, nodes in _node_groups(
                 level, q - (depth - k if leaves else 0), bound):
@@ -204,43 +226,43 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
             # matrix-vector product, whose bits change when it is cut.  So
             # child columns go in balanced chunks (no lone child while
             # width >= 3), and carried rows, whose product has one column,
-            # are cut by nodes only; they hold 1 + kf^2 entries per child.
-            width = qc if carried else max(
-                _SCREEN_ELEMS // (d - m - 1 + kf * kf), 1)
+            # are cut by nodes only.
+            width = qc if carried else max(_SCREEN_ELEMS // (d - m - 1), 1)
             chunks = -(-qc // width)
             cuts = [qc * i // chunks for i in range(chunks + 1)]
             for c0, c1 in zip(cuts, cuts[1:]):
                 f, nc = m + 1 + c0, c1 - c0
                 lo = q if carried else f   # first column of w
-                step = max(_SCREEN_ELEMS // (nc * (d - lo + kf * kf)), 1)
+                step = max(_SCREEN_ELEMS // (nc * (d - lo)), 1)
                 for i in range(0, len(nodes[0]), step):
-                    w = rc = Lc = None   # free the last batch before this one
-                    P, W, r, *L = (a[i : i + step] for a in nodes)
+                    w = rc = None   # free the last batch before this one
+                    P, W, r, *B = (a[i : i + step] for a in nodes)
+                    B = B[0][:, :, c0:] if coefs else None
                     Wc = W[:, :, c0 : c0 + nc]
                     piv = r[:, c0 : c0 + nc]
                     ok = piv > tol
+                    sq = np.sqrt(np.where(ok, piv, 1.0))
                     with np.errstate(over="ignore", invalid="ignore"):
                         w = (A[f : f + nc, lo:]
                              - np.matmul(Wc.transpose(0, 2, 1),
                                          W[:, :, lo - m - 1 :]))
-                        w /= np.sqrt(np.where(ok, piv, 1.0))[:, :, None]
+                        w /= sq[:, :, None]
                         rc = r[:, None, lo - m - 1 :] - w * w
-                    if factors:   # L bordered by the new row and sqrt(pivot)
-                        Lc = np.zeros((len(P), nc, kf, kf))
-                        Lc[:, :, :k, :k] = L[0][:, None]
-                        Lc[:, :, k, :k] = Wc.transpose(0, 2, 1)
-                        Lc[:, :, k, k] = np.sqrt(np.where(ok, piv, 1.0))
-                    yield P, f, W, ok, w, rc, Lc
+                    yield P, f, B, ok, w, rc, sq
                     for c in () if last else np.flatnonzero(ok.any(axis=0)):
                         sel = ok[:, c]
+                        wc = w[sel, None, c, c + 1 :]
                         child = (np.column_stack([P[sel],
                                                   np.full(sel.sum(), f + c)]),
-                                 np.concatenate([W[sel, :, c0 + c + 1 :],
-                                                 w[sel, None, c, c + 1 :]],
+                                 np.concatenate([W[sel, :, c0 + c + 1 :], wc],
                                                 axis=1),
                                  rc[sel, c, c + 1 :])
-                        nxt[f + c].append(child + (Lc[sel, c],) if factors
-                                          else child)
+                        if coefs:
+                            t = wc / sq[sel, c, None, None]
+                            child += (np.concatenate(
+                                [B[sel, :, c + 1 :] - B[sel, :, c, None] * t,
+                                 t], axis=1),)
+                        nxt[f + c].append(child)
         level = {j: tuple(np.concatenate(a) for a in zip(*parts))
                  for j, parts in nxt.items()}
 
@@ -262,38 +284,33 @@ def _node_groups(level, end: int, bound):
             yield m, kc, tuple(a[keep == kc] for a in nodes)
 
 
-def _back_substitute(L: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """x with L' x = z for stacks of lower-triangular L (m, k, k), z (m, k)."""
-    x = np.empty_like(z)
-    for i in range(z.shape[1] - 1, -1, -1):
-        x[:, i] = ((z[:, i] - np.einsum("mj,mj->m", L[:, i + 1 :, i],
-                                        x[:, i + 1 :]))
-                   / L[:, i, i])
-    return x
-
-
 def _bordered_gram(data) -> np.ndarray:
     """[[G, X'y], [y'X, y'y]]; on the walk, a node's carried Schur entry is
-    its residual sum of squares and its carried column of W is L^-1 X_J'y."""
+    its residual sum of squares, its carried column of W is L^-1 X_J'y and
+    its carried column of B is its least-squares fit."""
     return np.block([[data.gram, data.xty[:, None]],
                      [data.xty[None, :], np.array([[data.yty]])]])
 
 
-def _walk_fits(data, A: np.ndarray, s_max: int, factors: bool = True,
+def _walk_fits(data, A: np.ndarray, s_max: int, coefs: bool = True,
                bound=None):
     """(rows, rss, beta, full) for each batch of subsets with at most s_max
     columns that the walk on the bordered Gram A forms.  A pivot <=
     EPS_RANK * n fails (subsets._schur_step's rule).  A batch's full-rank
-    children come first (beta = L'^-1 z, or None without `factors`); each
+    children come first: child P + (f+c) has beta = (beta_P - B[:, c] theta,
+    theta), where beta_P is the parent's carried column of B and theta its
+    carried entry of w over sqrt(pivot); beta is None without `coefs`.  Each
     failed child and all its completions follow with subsets._svd_fit,
     _SCREEN_ELEMS design entries at a time.  The walk, and so `bound`,
     resumes only after."""
-    for P, f, W, ok, w, rc, Lc in _cholesky_walk(
-            A, data.p, s_max, EPS_RANK * data.n, factors=factors,
-            bound=bound):
+    for P, f, B, ok, w, rc, sq in _cholesky_walk(
+            A, data.p, s_max, EPS_RANK * data.n, coefs=coefs, bound=bound):
         b, c = np.nonzero(ok)
-        beta = None if Lc is None else _back_substitute(
-            Lc[b, c], np.column_stack([W[b, :, -1], w[b, c, -1]]))
+        beta = None
+        if B is not None:
+            theta = w[b, c, -1] / sq[b, c]
+            beta = np.column_stack([B[b, :, -1] - B[b, :, c] * theta[:, None],
+                                    theta])
         yield (np.column_stack([P[b], f + c]), np.maximum(rc[b, c, -1], 0.0),
                beta, True)
         for t in range(s_max - P.shape[1]):
@@ -313,7 +330,7 @@ def _subset_fits(data, s_max: int):
              np.ones(math.comb(p, k), dtype=bool)) for k in range(s_max + 1)]
     fits[0][0][:] = data.yty
     for rows, *fit in _walk_fits(data, _bordered_gram(data), s_max):
-        at = subset_rank(rows, p)
+        at = _lex_rank(rows, p)   # the walk's rows are sorted and in range
         for out, v in zip(fits[rows.shape[1]], fit):
             out[at] = v
     return fits
@@ -378,8 +395,8 @@ def _suffix_rss(A, U, live, P: np.ndarray, m: int, tol: float):
 def _penalized_scan(data, s_max: int, lam: float):
     """(support, score) minimizing rss(J) + lam |J| over |J| <= s_max, by
     the branch-and-bound of the module docstring on the fits of _walk_fits
-    without factors.  Scores within the slack of the minimum tie, and ties
-    go to the smaller, then lexicographically first, support.
+    without coefficients.  Scores within the slack of the minimum tie, and
+    ties go to the smaller, then lexicographically first, support.
 
     Nodes of size s_max - 1 are not bounded: their children are leaves,
     whose carried-row fits cost less than the bound.  So with s_max <= 2
@@ -412,7 +429,7 @@ def _penalized_scan(data, s_max: int, lam: float):
             return np.where(cut.all(axis=1), 0,
                             lb.shape[1] - cut.argmin(axis=1))
 
-    for rows, rss, _, _ in _walk_fits(data, A, s_max, factors=False,
+    for rows, rss, _, _ in _walk_fits(data, A, s_max, coefs=False,
                                       bound=bound):
         offer(rows, rss + lam * rows.shape[1])
     score, support = min(ties, key=lambda t: (len(t[1]), t[1]))

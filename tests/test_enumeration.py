@@ -15,7 +15,7 @@ from ewselect.enumeration import (_subset_fits, gather_gram,
                                   subset_count, subset_index_array,
                                   subset_rank)
 from ewselect.priors import practical_lambda
-from ewselect.subsets import least_squares_min_norm, residual_ss
+from ewselect.subsets import EPS_RANK, least_squares_min_norm, residual_ss
 
 from conftest import planted_instance
 
@@ -52,6 +52,27 @@ class TestBatchedRss:
                     beta[row], least_squares_min_norm(d, J)[list(J)],
                     rtol=1e-7, atol=1e-8)
 
+    def test_coefficients_on_an_ill_conditioned_design(self, rng):
+        # column 5 is column 2 plus 1e-4 noise: its pivot after column 2 is
+        # about 8e-9 n, small but 80 times the rank rule's EPS_RANK * n
+        X = rng.standard_normal((30, 8))
+        X[:, 5] = X[:, 2] + 1e-4 * rng.standard_normal(30)
+        d = Dataset(X, X[:, [2, 5, 6]] @ [1.0, 1.0, -1.0]
+                    + 0.5 * rng.standard_normal(30))
+        G = d.gram
+        pivot = G[5, 5] - G[2, 5] ** 2 / G[2, 2]
+        assert EPS_RANK * d.n < pivot < 1e-7 * d.n
+        worst = 0.0
+        for k, (_, beta, full) in enumerate(_subset_fits(d, 4)):
+            assert full.all()
+            for J, b in zip(subset_index_array(d.p, k), beta):
+                if k:
+                    ref = least_squares_min_norm(d, J)[list(J)]
+                    worst = max(worst, np.max(np.abs(b - ref))
+                                / np.max(np.abs(ref)))
+        # about 3x the worst error of a triangular solve per subset (6.1e-8)
+        assert worst <= 2e-7
+
     def test_empty_subset_rows(self, small_data):
         [(rss, beta, full)] = _subset_fits(small_data, 0)
         assert rss.tolist() == [small_data.yty]
@@ -67,12 +88,18 @@ class TestBatchedRss:
                           for k, (rss, _, _) in enumerate(full)
                           for i, r in enumerate(rss))
             expected = tuple(int(v) for v in subset_index_array(d.p, k)[i])
+            walk, carried = enumeration._cholesky_walk, []
+
+            def spying(*args, **kwargs):
+                for batch in walk(*args, **kwargs):
+                    carried.append(batch[2] is not None)   # the batch's B
+                    yield batch
             with monkeypatch.context() as mp:
-                def refuse(*args):
-                    raise AssertionError("exhaustive l0 solved for beta")
-                mp.setattr(enumeration, "_back_substitute", refuse)
+                mp.setattr(enumeration, "_cholesky_walk", spying)
                 support, _ = l0_select(d, cfg)
             assert support == expected
+            # the walk ran and formed no coefficients
+            assert carried and not any(carried)
 
     def test_batches_are_bounded_by_child_entries(self, rng, monkeypatch):
         X = rng.standard_normal((30, 100))

@@ -216,6 +216,21 @@ class TestEnumeratePosterior:
         fits = peak(lambda: _subset_fits(d, 4))
         assert peak(lambda: enumerate_posterior(d, cfg)) <= 1.05 * fits
 
+    def test_walk_memory_is_bounded_by_the_fits(self, rng):
+        # the benchmark's scan-enum shape: (100, 20) with |J| <= 7, 137,980
+        # subsets; the walk's nodes and batches stay under 6x its fits
+        d = Dataset(rng.standard_normal((100, 20)), rng.standard_normal(100))
+        d.gram
+        for k in range(8):
+            subset_index_array(20, k)
+        tracemalloc.start()
+        try:
+            fits = _subset_fits(d, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * sum(a.nbytes for fit in fits for a in fit)
+
     def test_subset_rank_agrees_with_enumeration_order(self, small_data):
         cfg = PosteriorConfig(lam=2.0, max_support=3, sigma2=1.0)
         table = enumerate_posterior(small_data, cfg)
