@@ -65,7 +65,7 @@ def _exhaustive_l0(data: Dataset, cfg: L0Config):
 
     A branch-and-bound over the shared Cholesky walk (the leaps and bounds
     of Furnival & Wilson, Technometrics 1974): the subtree below a node's
-    child P + c is skipped when rss(P + {c, ..., p-1}) + lam (|P| + 1),
+    child P + c is skipped when rss(P + {c, ..., p-1}) + lam (|P| + 2),
     a lower bound on every criterion in it, exceeds the best criterion so
     far by more than 1e-9 y'y.  Criteria within that slack of the minimum
     tie; ties go to the smaller, then lexicographically first, support.

@@ -7,16 +7,19 @@ identifiability and sets the coefficient magnitude needed for reliable
 support recovery.
 
 The exact scans (_scan_min_eig) need lambda_min(G_J) only for the subsets
-that can move the extreme.  Starting from t, the extreme over a fixed
-sample of subsets, the prefix-sharing Cholesky walk of
-enumeration._cholesky_walk factors G_J - t'I (t' = t + delta for the
-minimum, t - delta for the maximum) for every subset in O(1) amortized
-work: the factorization succeeds only if lambda_min(G_J) >= t and fails
-only if lambda_min(G_J) <= t, up to the rounding margin delta
-(_rounding_margin).  The subsets it cannot rule out are eigensolved with
-the same Gram blocks and the same batched eigvalsh as an unpruned scan, and
-every subset it skips would have left that scan's extreme where it is, so
-the result equals the unpruned scan bit for bit.
+that can move the extreme.  They start from t, the extreme over a few
+subsets grown greedily from the most extreme pairs (_greedy_start).  The
+prefix-sharing Cholesky walk of enumeration._cholesky_walk then factors
+G_J - t'I (t' = t + delta for the minimum, t - delta for the maximum) for
+every subset in O(1) amortized work: the factorization succeeds only if
+lambda_min(G_J) >= t and fails only if lambda_min(G_J) <= t, up to the
+rounding margin delta (_rounding_margin).  For the minimum, a pairwise
+bound on the last 2 x 2 Schur block proves whole families of leaves
+positive definite before they are formed (_shifted_cholesky_screen).  The
+subsets the screen cannot rule out are eigensolved with the same Gram
+blocks and the same batched eigvalsh as an unpruned scan, and every subset
+it skips would have left that scan's extreme where it is, so the result
+equals the unpruned scan bit for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from .enumeration import (_cholesky_walk, _completions, check_cap,
 from .errors import DomainError, TooLargeError
 from .subsets import EPS_RANK, _check_subset
 
-_PRUNE_SAMPLE = 4096
+# Pairs the exact scans' start grows into size-s subsets (_greedy_start).
+_START_PAIRS = 4
 
 
 def _sample_subsets(p: int, s: int, count: int, rng) -> np.ndarray:
@@ -76,12 +80,25 @@ def _shifted_cholesky_screen(G: np.ndarray, s: int, shift: float, want: str):
     The walk on G - shift*I (tol 0) yields leaf pivots; a failed prefix
     marks all its completions for the minimum and prunes them for the
     maximum (by interlacing, adding columns cannot raise lambda_min).
+
+    For the minimum with s >= 3, the walk's `expand` hook
+    (_pair_certificate) never forms a size s-2 prefix Q = P + c whose leaves
+    Q + {j, l} (c < j < l) all factor.  Their last 2 x 2 Schur block is
+    [[rho_j, S_jl - w_j w_l], [S_jl - w_j w_l, rho_l]], with rho Q's Schur
+    diagonal, S = A - W'W the Schur complement of P and w the new row of
+    W that c adds.  With g_j = max over l > j of |S_jl|, N_j = max over
+    l > j of |w_l| and R_j = min over l > j of rho_l, every leaf's last
+    pivot is positive when rho_j > 0 and (g_j + |w_j| N_j)^2 < rho_j R_j for
+    every j > c; with the rounding terms of _rounding_margin, so is the
+    pivot the walk would compute.  So the screen yields exactly the rows
+    that the walk without the hook yields.
     """
     p = len(G)
     A = G.copy()
     A[np.diag_indices(p)] -= shift
-    for P, f, _, ok, _, rc, _ in _cholesky_walk(A, p, s - 1, 0.0,
-                                                leaves=True, coefs=False):
+    expand = _pair_certificate(A, s) if want == "min" and s >= 3 else None
+    for P, f, _, ok, _, rc, _ in _cholesky_walk(A, p, s - 1, 0.0, leaves=True,
+                                                coefs=False, expand=expand):
         k = P.shape[1]
         if k == s - 2:
             # leaf P[b] + (f+c, f+l), l > c, has last pivot rc[b, c, l]
@@ -97,23 +114,108 @@ def _shifted_cholesky_screen(G: np.ndarray, s: int, shift: float, want: str):
             yield from _completions(P, f, ok, p, s - k - 1)
 
 
+def _pair_certificate(A: np.ndarray, s: int):
+    """The min screen's `expand` hook on the shifted Gram A: for nodes P of
+    size s-3, False for each child whose leaves the pairwise bound of
+    _shifted_cholesky_screen proves positive definite, with the rounding
+    terms tau and slack of _rounding_margin."""
+    eps = np.finfo(np.float64).eps
+    tau = 2.0 * (s - 2) * eps * max(float(np.max(np.diag(A))), 0.0)
+    slack = 1.0 + 16.0 * eps
+
+    def expand(P, f, W, w, rc):
+        if P.shape[1] != s - 3:
+            return True
+        nc, L = w.shape[1:]
+        # g[:, j] = max over l > j of |S[j, l]|, S = A[f:, f:] - W'W the
+        # node's Schur complement, nc rows at a time
+        g = np.empty((len(W), L))
+        before = np.tri(L, dtype=bool)
+        for j in range(0, L, nc):
+            S = np.abs(A[f + j : f + j + nc, f:]
+                       - np.matmul(W[:, :, j : j + nc].transpose(0, 2, 1), W))
+            S[:, before[j : j + nc]] = 0.0
+            g[:, j : j + nc] = S.max(axis=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # bound = (g_j + tau + |w_j| max_{l>j} |w_l|)^2 and
+            # rhs = rho_j min_{l>j} rho_l; the last column has no later one
+            aw = np.abs(w)
+            bound = np.zeros_like(aw)
+            bound[..., :-1] = np.maximum.accumulate(aw[..., :0:-1],
+                                                    -1)[..., ::-1]
+            bound *= aw
+            bound += (g + tau)[:, None, :]
+            bound *= bound
+            bound *= slack
+            rhs = np.full_like(rc, np.inf)
+            rhs[..., :-1] = np.minimum.accumulate(rc[..., :0:-1],
+                                                  -1)[..., ::-1]
+            rhs *= rc
+            safe = (rc > 0) & (bound < rhs)
+        # a child keeps its subtree unless every later column is safe
+        safe |= ~np.triu(np.ones((nc, L), dtype=bool), 1)
+        return ~safe.all(axis=2)
+
+    return expand
+
+
+def _greedy_start(G: np.ndarray, s: int, want: str) -> float:
+    """min or max (`want`) of lambda_min(G_J) over a few size-s subsets J,
+    each computed as _extreme_min_eig computes it; 2 <= s < len(G).
+
+    The _START_PAIRS pairs with the most extreme 2 x 2 lambda_min (closed
+    form) each grow s-2 times by the column that most lowers (min) or
+    raises (max) lambda_min, one batched eigvalsh over the candidates.
+    """
+    p = len(G)
+    sign = 1.0 if want == "min" else -1.0
+    d = np.diag(G)
+    keys, pairs = [], []
+    step = max(enumeration._SCREEN_ELEMS // p, 1)
+    for lo in range(0, p, step):
+        i = np.arange(lo, min(lo + step, p))[:, None]
+        a, b = d[i], G[lo : lo + step]
+        key = sign * ((a + d) / 2 - np.hypot((a - d) / 2, b))
+        key[np.arange(p) <= i] = np.inf
+        top = np.argsort(key, axis=None, kind="stable")[:_START_PAIRS]
+        keys.append(key.flat[top])
+        pairs.append(np.column_stack(np.unravel_index(top, key.shape))
+                     + [lo, 0])
+    subs = np.concatenate(pairs)[np.argsort(np.concatenate(keys),
+                                            kind="stable")[:_START_PAIRS]]
+    for k in range(2, s):
+        free = np.ones((len(subs), p), dtype=bool)
+        np.put_along_axis(free, subs, False, axis=1)
+        j = np.nonzero(free)[1].reshape(len(subs), p - k)
+        cand = np.concatenate([np.repeat(subs[:, None], p - k, axis=1),
+                               j[..., None]], axis=2).reshape(-1, k + 1)
+        lam = np.concatenate([v[:, 0] for v in _eigvals(G, cand)])
+        grow = np.argmin(sign * lam.reshape(j.shape), axis=1)
+        subs = np.column_stack([subs, j[np.arange(len(subs)), grow]])
+    return _extreme_min_eig(G, np.sort(subs, axis=1), want)
+
+
 def _scan_min_eig(G: np.ndarray, s: int, want: str) -> float:
     """min or max (`want`) of lambda_min(G_J) over all size-s subsets, exactly.
 
-    t, the extreme over a fixed sample of _PRUNE_SAMPLE subsets, is a value
-    some subset attains.  For the minimum, a subset whose factorization of
-    G_J - (t + delta)I succeeds has a computed lambda_min >= t and cannot
+    t = _greedy_start(G, s, want) is a value some subset attains, computed
+    as the scan computes it.  For the minimum, a subset whose factorization
+    of G_J - (t + delta)I succeeds has a computed lambda_min >= t and cannot
     lower it; for the maximum, one whose factorization of G_J - (t - delta)I
     fails has a computed lambda_min <= t and cannot raise it.  Only the
-    rest are eigensolved, _SCREEN_ELEMS Gram entries at a time.
+    rest are eigensolved, _SCREEN_ELEMS Gram entries at a time.  When
+    C(p, s) is no more than the start would eigensolve, all subsets are
+    eigensolved instead, and there is no walk.
     """
     if s == 1:
         diag = np.diag(G)
         return float(diag.min() if want == "min" else diag.max())
     p = G.shape[0]
+    start_blocks = _START_PAIRS * (sum(p - k for k in range(2, s)) + 1)
+    if math.comb(p, s) <= start_blocks:
+        return _extreme_min_eig(G, subset_index_array(p, s), want)
     pick = min if want == "min" else max
-    sample = _sample_subsets(p, s, _PRUNE_SAMPLE, np.random.default_rng(0))
-    best = _extreme_min_eig(G, sample, want)
+    best = _greedy_start(G, s, want)
     delta = _rounding_margin(G, s)
     shift = best + delta if want == "min" else best - delta
     for rows in _shifted_cholesky_screen(G, s, shift, want):
@@ -142,6 +244,23 @@ def _rounding_margin(G: np.ndarray, s: int) -> float:
     c <= 20, so the computed lambda_min of a skipped subset lies on the
     far side of t.  The margin only adds the subsets within delta of t
     (about 1e-13 g at s = 5) to the ones eigensolved.
+
+    The min screen's pairwise certificate needs no margin, only bounds on
+    its own rounding.  The walk computes the last pivot of a leaf
+    Q + {j, l} as rho_l - x^2, with x = (A[j, l] - W_Q[:, j]'W_Q[:, l]) /
+    sqrt(rho_j) and a dot product of k = s - 2 terms.  That product errs by
+    at most gamma_k nu_j nu_l, nu the norms of the columns of W_Q.  A
+    positive computed rho_l only lost squares from A[l, l] on the way, so
+    nu_l^2 <= A[l, l] (1 + gamma_k).  Both dot products, the walk's and the
+    certificate's S = A - W'W over k - 1 terms, are thus within
+    tau = 2 k eps max diag(A) of exact, and the computed numerator of x is
+    at most (1 + u) / (1 - u) (g_j + tau + |w_j| N_j) in absolute value.
+    The square root, the division and the square add a factor
+    (1 + u)^3 / (1 - u)^2 to x^2 rho_j.  The certificate's two sums, its
+    square, its product with the slack and the product rho_j R_j cost
+    (1 + u) / (1 - u)^6 more.  The total, (1 + u)^6 / (1 - u)^10, is about
+    1 + 8 eps, so a relative slack of 1 + 16 eps makes every skipped leaf's
+    computed pivot positive (barring underflow and overflow).
     """
     return 16.0 * s * s * np.finfo(np.float64).eps * float(np.max(np.diag(G)))
 

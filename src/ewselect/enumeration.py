@@ -13,14 +13,15 @@ walk forms, rank-deficient fallbacks included; the posterior table
 (_subset_fits) and exhaustive l0 both read it.
 
 The penalized scan (_penalized_scan, exhaustive l0) is a branch-and-bound
-on that stream.  RSS cannot rise as columns are added, so the subtree of a
-node P's child P + c (its supersets within P + {c, ..., p-1}) scores at
-least rss(P + {c, ..., p-1}) + lam (|P| + 1).  One Cholesky factor of the
-bordered Gram in reverse column order (_suffix_factor) holds the Schur
-complement of every suffix {c, ..., p-1}, so each node reads the bound of
-every child from a |P| + 1 square block per child (_suffix_rss).  A child
-whose bound exceeds the best score so far by more than a slack of
-1e-9 y'y is skipped with its whole subtree.
+on that stream.  RSS cannot rise as columns are added, so the descendants
+of a node P's child P + c (its strict supersets within P + {c, ..., p-1})
+score at least rss(P + {c, ..., p-1}) + lam (|P| + 2).  One Cholesky
+factor of the bordered Gram in reverse column order (_suffix_factor) holds
+the Schur complement of every suffix {c, ..., p-1}, so each batch reads the
+bound of every child from a |P| + 1 square block per child (_suffix_rss).
+A child whose bound exceeds the best score so far by more than a slack of
+1e-9 y'y is formed and scored, but never expanded (the walk's `expand`
+hook, which the min screen of the diagnostics also uses).
 """
 
 from __future__ import annotations
@@ -179,7 +180,7 @@ def _completions(P: np.ndarray, f: int, ok: np.ndarray, q: int, t: int):
 
 
 def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
-                   leaves: bool = False, coefs: bool = True, bound=None):
+                   leaves: bool = False, coefs: bool = True, expand=None):
     """Prefix-sharing Cholesky factorizations of A[J, J] for every sorted
     subset J of range(q) with at most `depth` columns; columns q.. of the
     symmetric A are carried along, never branched on.
@@ -207,11 +208,13 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
     cover all later columns, so rc[b, c, l] is the last pivot of the leaf
     P[b] + (f+c, f+l).
 
-    With `bound`, nodes are cut just before their children are formed:
-    bound(m, P) gives each node P of largest column m the number of
-    its children (a prefix of columns m+1..) to keep, and the other
-    children are never formed, so their subtrees are skipped.  Nodes that
-    keep the same number are batched together.
+    With `expand`, children are cut just after their batch is formed:
+    expand(P, f, W, w, rc), with W the nodes' rows of W over the columns
+    of w, gives a mask over ok of the children to expand (True keeps all),
+    and the others' subtrees are skipped.  The hook runs after the batch's
+    yield, so it sees every batch the walk yielded, this one included.
+    Exhaustive l0 cuts the children whose RSS bound is too high, and the
+    diagnostics' min screen those whose leaves it proves positive definite.
     """
     d = len(A)
     root = (np.empty((1, 0), np.intp), np.empty((1, 0, d)), np.diag(A)[None, :])
@@ -219,8 +222,11 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
     for k in range(depth):
         last = k == depth - 1
         nxt = defaultdict(list)
-        for m, qc, nodes in _node_groups(
-                level, q - (depth - k if leaves else 0), bound):
+        end = q - (depth - k if leaves else 0)
+        for m, nodes in level.items():
+            qc = end - 1 - m
+            if qc <= 0:
+                continue
             carried = last and not leaves   # rows cover columns q.. only
             # numpy multiplies a one-row or one-column block as a
             # matrix-vector product, whose bits change when it is cut.  So
@@ -249,8 +255,12 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
                         w /= sq[:, :, None]
                         rc = r[:, None, lo - m - 1 :] - w * w
                     yield P, f, B, ok, w, rc, sq
-                    for c in () if last else np.flatnonzero(ok.any(axis=0)):
-                        sel = ok[:, c]
+                    if last:
+                        continue
+                    grow = ok if expand is None else ok & expand(
+                        P, f, W[:, :, lo - m - 1 :], w, rc)
+                    for c in np.flatnonzero(grow.any(axis=0)):
+                        sel = grow[:, c]
                         wc = w[sel, None, c, c + 1 :]
                         child = (np.column_stack([P[sel],
                                                   np.full(sel.sum(), f + c)]),
@@ -267,23 +277,6 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
                  for j, parts in nxt.items()}
 
 
-def _node_groups(level, end: int, bound):
-    """(m, qc, nodes) for each group of the level's nodes that share their
-    largest column m and the number qc of children to form: columns
-    m+1..end-1, or the prefix of them that `bound` keeps.  Lazy, so each
-    bound sees every batch the walk yielded before it."""
-    for m, nodes in level.items():
-        qc = end - 1 - m
-        if qc <= 0:
-            continue
-        if bound is None:
-            yield m, qc, nodes
-            continue
-        keep = bound(m, nodes[0])
-        for kc in np.unique(keep[keep > 0]).tolist():
-            yield m, kc, tuple(a[keep == kc] for a in nodes)
-
-
 def _bordered_gram(data) -> np.ndarray:
     """[[G, X'y], [y'X, y'y]]; on the walk, a node's carried Schur entry is
     its residual sum of squares, its carried column of W is L^-1 X_J'y and
@@ -293,7 +286,7 @@ def _bordered_gram(data) -> np.ndarray:
 
 
 def _walk_fits(data, A: np.ndarray, s_max: int, coefs: bool = True,
-               bound=None):
+               expand=None):
     """(rows, rss, beta, full) for each batch of subsets with at most s_max
     columns that the walk on the bordered Gram A forms.  A pivot <=
     EPS_RANK * n fails (subsets._schur_step's rule).  A batch's full-rank
@@ -301,10 +294,10 @@ def _walk_fits(data, A: np.ndarray, s_max: int, coefs: bool = True,
     theta), where beta_P is the parent's carried column of B and theta its
     carried entry of w over sqrt(pivot); beta is None without `coefs`.  Each
     failed child and all its completions follow with subsets._svd_fit,
-    _SCREEN_ELEMS design entries at a time.  The walk, and so `bound`,
+    _SCREEN_ELEMS design entries at a time.  The walk, and so `expand`,
     resumes only after."""
     for P, f, B, ok, w, rc, sq in _cholesky_walk(
-            A, data.p, s_max, EPS_RANK * data.n, coefs=coefs, bound=bound):
+            A, data.p, s_max, EPS_RANK * data.n, coefs=coefs, expand=expand):
         b, c = np.nonzero(ok)
         beta = None
         if B is not None:
@@ -357,9 +350,9 @@ def _suffix_factor(A: np.ndarray, q: int, tol: float):
     return U, np.logical_and.accumulate(ok[::-1])[::-1]
 
 
-def _suffix_rss(A, U, live, P: np.ndarray, m: int, tol: float):
-    """rss(P + {c, ..., q-1}) for each row P of a walk node group (largest
-    column m) and each child column c = m+1..q-1, from _suffix_factor of
+def _suffix_rss(A, U, live, P: np.ndarray, f: int, nc: int, tol: float):
+    """rss(P + {c, ..., q-1}) for each row P of a walk batch and each of its
+    child columns c = f..f+nc-1, from _suffix_factor of
     the bordered Gram A (y last), or -inf where no bound is read.
 
     Given the suffix, P and y keep the Schur block A[J, J] minus the
@@ -368,7 +361,7 @@ def _suffix_rss(A, U, live, P: np.ndarray, m: int, tol: float):
     that child and every child before it get -inf.
     """
     k = P.shape[1]
-    c = np.arange(m + 1, len(U))
+    c = np.arange(f, f + nc)
     J = np.column_stack([P, np.full(len(P), len(A) - 1)])
     out = []
     step = max(_SCREEN_ELEMS // (len(c) * (k + 1) ** 2), 1)
@@ -379,7 +372,7 @@ def _suffix_rss(A, U, live, P: np.ndarray, m: int, tol: float):
         M = np.cumsum((UJ[..., :, None] * UJ[..., None, :])[:, ::-1],
                       axis=1)[:, ::-1]
         M = A[Ji[:, None, :, None], Ji[:, None, None, :]] - M
-        ok = np.repeat(live[None, m + 1 :], len(Ji), axis=0)
+        ok = np.repeat(live[None, f : f + nc], len(Ji), axis=0)
         for j in range(k):
             piv = M[:, :, j, j]
             ok &= piv > tol
@@ -398,10 +391,11 @@ def _penalized_scan(data, s_max: int, lam: float):
     without coefficients.  Scores within the slack of the minimum tie, and
     ties go to the smaller, then lexicographically first, support.
 
-    Nodes of size s_max - 1 are not bounded: their children are leaves,
-    whose carried-row fits cost less than the bound.  So with s_max <= 2
-    only the root would be, and the O(p^3) reverse factor that the bounds
-    read would cost more than the whole scan; nothing is bounded then.
+    A child is formed and offered before its bound is read, and only its
+    descendants, of |P| + 2 columns or more, are cut.  So with s_max <= 2
+    only the root's children would be, and the O(p^3) reverse factor that
+    the bounds read would cost more than the whole scan; nothing is
+    bounded then.
     """
     p = data.p
     A = _bordered_gram(data)
@@ -417,20 +411,17 @@ def _penalized_scan(data, s_max: int, lam: float):
         for i in np.flatnonzero(score <= best + slack):
             ties.append((float(score[i]), tuple(int(v) for v in rows[i])))
 
-    bound = None
+    expand = None
     if s_max >= 3:
         U, live = _suffix_factor(A, p, tol)
 
-        def bound(m, P):
-            if P.shape[1] == s_max - 1:
-                return np.full(len(P), p - 1 - m)
-            lb = _suffix_rss(A, U, live, P, m, tol) + lam * (P.shape[1] + 1)
-            cut = (lb > best + slack)[:, ::-1]
-            return np.where(cut.all(axis=1), 0,
-                            lb.shape[1] - cut.argmin(axis=1))
+        def expand(P, f, W, w, rc):
+            lb = (_suffix_rss(A, U, live, P, f, w.shape[1], tol)
+                  + lam * (P.shape[1] + 2))
+            return ~(lb > best + slack)
 
     for rows, rss, _, _ in _walk_fits(data, A, s_max, coefs=False,
-                                      bound=bound):
+                                      expand=expand):
         offer(rows, rss + lam * rows.shape[1])
     score, support = min(ties, key=lambda t: (len(t[1]), t[1]))
     return support, score

@@ -113,8 +113,9 @@ class TestRestrictedSingularValues:
             X[:, 7] = X[:, 2]
             X[:, 10] = -X[:, 4]
         elif case == "equicorrelated":
-            # every block of X'X/n has lambda_min 0.5 up to rounding, and at
-            # C(24, 6) subsets the fixed sample misses the smallest computed one
+            # every block of X'X/n has lambda_min 0.5 up to rounding, so
+            # rounding alone decides which of the C(24, 6) subsets holds the
+            # smallest computed one
             S = np.full((24, 24), 0.5)
             np.fill_diagonal(S, 1.0)
             X = np.linalg.cholesky(S).T * math.sqrt(24)
@@ -157,6 +158,90 @@ class TestRestrictedSingularValues:
             # t is attained, so at least one subset is marked; ties aside,
             # only that one is
             assert 1 <= marked <= 3, want
+
+    @pytest.mark.parametrize("case", ["equicorrelated", "duplicates", "ar"])
+    def test_screen_contract_near_ties(self, rng, monkeypatch, case):
+        # shifts within a few delta of many subsets' lambda_min: the screen
+        # yields every subset below shift - 2 delta and none above shift +
+        # 2 delta (reversed for the maximum), and the min screen's pairwise
+        # certificate drops no row the plain walk yields
+        if case == "equicorrelated":
+            S = np.full((24, 24), 0.5)
+            np.fill_diagonal(S, 1.0)
+            X = np.linalg.cholesky(S).T * math.sqrt(24)
+        elif case == "duplicates":
+            X = rng.standard_normal((30, 12))
+            X[:, 7] = X[:, 2]
+            X[:, 10] = -X[:, 4]
+        else:
+            # AR(0.8) blocks are Toeplitz, so a subset and its translates tie
+            S = 0.8 ** np.abs(np.subtract.outer(np.arange(16), np.arange(16)))
+            X = np.linalg.cholesky(S).T * 4.0
+        n, p = X.shape
+        s = 5
+        G = X.T @ X / n
+        subs = enumeration.subset_index_array(p, s)
+        lam = np.linalg.eigvalsh(enumeration.gather_gram(G, subs))[:, 0]
+        delta = diag._rounding_margin(G, s)
+        # lambda_min of the subsets around the 1st, 50th and 99th percentile
+        centres = np.quantile(lam, [0.01, 0.5, 0.99], method="nearest")
+        shifts = [c + m * delta for c in centres for m in (-3, -1, 0, 1, 3)]
+        assert max(np.sum(np.abs(lam - c) <= 3 * delta) for c in centres) > 1
+
+        def screen(shift, want):
+            rows = list(diag._shifted_cholesky_screen(G, s, shift, want))
+            rows = np.concatenate(rows) if rows else np.empty((0, s), np.intp)
+            return np.sort(enumeration.subset_rank(rows, p))
+
+        for shift in shifts:
+            for want in ("min", "max"):
+                got = screen(shift, want)
+                assert len(np.unique(got)) == len(got), (case, shift, want)
+                low, high = lam < shift - 2 * delta, lam > shift + 2 * delta
+                must, never = (low, high) if want == "min" else (high, low)
+                assert set(np.flatnonzero(must)) <= set(got), (case, want)
+                assert not set(np.flatnonzero(never)) & set(got), (case, want)
+            with monkeypatch.context() as mp:
+                mp.setattr(diag, "_pair_certificate", lambda A, s: None)
+                plain = screen(shift, "min")
+            np.testing.assert_array_equal(screen(shift, "min"), plain)
+
+    def test_min_screen_forms_few_prefixes(self, monkeypatch):
+        # the pairwise certificate keeps most size-3 prefixes of a (200, 50)
+        # design at s = 5, and so most leaves, from being formed
+        walk, formed = diag._cholesky_walk, []
+
+        def counting(*args, **kwargs):
+            for batch in walk(*args, **kwargs):
+                if batch[0].shape[1] == 3:
+                    formed[-1] += len(batch[0])
+                yield batch
+        monkeypatch.setattr(diag, "_cholesky_walk", counting)
+        for seed in range(5):
+            g = np.random.default_rng(seed)
+            d = Dataset(g.standard_normal((200, 50)), g.standard_normal(200))
+            formed.append(0)
+            min_restricted_singular(d, 5, cap=math.comb(50, 5))
+            assert 0 < formed[-1] <= 0.1 * math.comb(50, 3), (seed, formed)
+
+    @pytest.mark.parametrize("s", [11, 12])
+    def test_start_eigensolves_at_most_every_subset(self, rng, monkeypatch, s):
+        # at s >= p - 1 there are at most p subsets: the scans eigensolve
+        # them all and nothing else
+        X = rng.standard_normal((40, 12))
+        d = Dataset(X, rng.standard_normal(40))
+        ref = eigvalsh_scan(d.gram / d.n, s)
+        eigvalsh, blocks = np.linalg.eigvalsh, []
+
+        def counting(a):
+            blocks.append(len(a))
+            return eigvalsh(a)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for scan, lam in zip((min_restricted_singular,
+                              max_restricted_singular), ref):
+            blocks.clear()
+            assert scan(d, s) == math.sqrt(lam)
+            assert sum(blocks) <= math.comb(12, s)
 
     def test_cap_and_override(self, rng):
         X = rng.standard_normal((30, 60))
