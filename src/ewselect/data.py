@@ -91,13 +91,6 @@ class Dataset:
         """Largest deviation of ||X_j||/sqrt(n) from 1 across columns."""
         return float(np.max(np.abs(np.sqrt(self.col_sq) / np.sqrt(self.n) - 1.0)))
 
-    def assert_normalized(self, tol: float = 1e-9) -> None:
-        err = self.max_normalization_error()
-        if err > tol:
-            raise DomainError(
-                f"columns are not normalized: max |  ||X_j||/sqrt(n) - 1 | = {err:.3g} > {tol:.3g}"
-            )
-
     def __repr__(self):
         return f"Dataset(n={self.n}, p={self.p}, sigma={self.sigma})"
 

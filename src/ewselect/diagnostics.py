@@ -1,5 +1,5 @@
-"""Design-matrix diagnostics: restricted singular values, identifiability,
-signal-strength thresholds, and covariance subset bounds.
+"""Design-matrix diagnostics: restricted singular values, identifiability
+and signal-strength thresholds.
 
 The central quantity is the smallest singular value of X_J / sqrt(n) over
 column subsets J of a given size; its minimum over subsets certifies
@@ -324,32 +324,6 @@ def subset_min_singular(data: Dataset, J) -> float:
     return float(svals[-1]) if len(idx) <= data.n else 0.0
 
 
-def min_fullrank_singular_estimate(data: Dataset, samples: int = 10_000,
-                                   seed: int = 0, max_size: int | None = None) -> float:
-    """Sampled envelope of subset singular values over full-rank subsets.
-
-    The exact minimum over every full-rank subset is combinatorially out of
-    reach; this samples subsets across sizes and returns the smallest value
-    above the rank cutoff, an upper bound on the true minimum.
-    """
-    cap = max_size if max_size is not None else min(data.n, data.p)
-    if cap < 1 or samples < 1 or seed < 0:
-        raise DomainError("need max_size and samples >= 1 and seed >= 0")
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    G = _normalized_gram(data)
-    per_size = max(samples // cap, 1)
-    cutoff = math.sqrt(EPS_RANK)
-    for s in range(1, cap + 1):
-        count = min(per_size, math.comb(data.p, s))
-        for vals in _eigvals(G, _sample_subsets(data.p, s, count, rng)):
-            nu = np.sqrt(np.maximum(vals[:, 0], 0.0))
-            ok = nu[nu > cutoff]
-            if len(ok):
-                best = min(best, float(ok.min()))
-    return best
-
-
 def is_identifiable(data: Dataset, s_star: int, cap: int | None = None) -> bool:
     """True when every subset of 2*s_star columns has full column rank.
 
@@ -372,35 +346,6 @@ def signal_strength_threshold(sigma: float, lam: float, n: int, nu: float) -> fl
     if not (0 <= sigma < math.inf and 0 <= lam < math.inf) or n < 1:
         raise DomainError("need finite sigma >= 0, finite lam >= 0, n >= 1")
     return 3.0 * sigma * math.sqrt(lam / n) / nu
-
-
-def covariance_subset_bounds(Sigma, s: int) -> tuple[float, float]:
-    """(worst condition ratio, smallest eigenvalue) over principal submatrices.
-
-    Returns (eta, lam) with eta = max over |J| <= s of
-    lambda_max(Sigma_J)/lambda_min(Sigma_J) and lam = min over the same of
-    lambda_min(Sigma_J); eta is +inf when any submatrix is singular.
-    C(p, s) is held to the default enumeration cap.
-    """
-    Sigma = np.asarray(Sigma, dtype=np.float64)
-    if Sigma.ndim != 2 or Sigma.shape[0] != Sigma.shape[1]:
-        raise DomainError("Sigma must be square")
-    if not np.allclose(Sigma, Sigma.T, atol=1e-10):
-        raise DomainError("Sigma must be symmetric")
-    p = Sigma.shape[0]
-    if not (1 <= s <= p):
-        raise DomainError(f"s must be in [1, {p}]")
-    check_cap(math.comb(p, s))
-    # both extremes are attained at size exactly s (interlacing)
-    eta = -math.inf
-    lam = math.inf
-    for vals in _eigvals(Sigma, subset_index_array(p, s)):
-        lo_vals, hi_vals = vals[:, 0], vals[:, -1]
-        lam = min(lam, float(lo_vals.min()))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratios = np.where(lo_vals > 0.0, hi_vals / lo_vals, math.inf)
-        eta = max(eta, float(ratios.max()))
-    return eta, lam
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .priors import PosteriorConfig, practical_lambda, support_cap
 from .svgplot import boxplot_svg
 
 METHOD_NAMES = ("ew", "lasso", "l0")
-_METHOD_ALIASES = {"aew": "ew"}
+_SPEC_ALIASES = {"s_star": "sparsity", "t0": "burn_in", "t": "samples"}
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,12 @@ class ExperimentSpec:
             raise DomainError("reps must be >= 1")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
-        methods = tuple(_METHOD_ALIASES.get(m, m) for m in self.methods)
+        methods = tuple(self.methods)
         if any(m not in METHOD_NAMES for m in methods):
             raise DomainError(f"unknown methods in {self.methods}")
+        repeated = [m for m in METHOD_NAMES if methods.count(m) > 1]
+        if repeated:
+            raise DomainError(f"method {repeated[0]!r} is listed more than once")
         object.__setattr__(self, "methods", methods)
         if not (math.isfinite(self.lambda_kappa) and self.lambda_kappa > 0):
             raise DomainError("lambda_kappa must be finite and > 0")
@@ -337,24 +340,12 @@ def emit(summary: ExperimentSummary, out_dir) -> list[str]:
     return written
 
 
-def load_reps_csv(path) -> list[MetricRecord]:
-    """Parse a reps.csv back into records (inverse of emit)."""
-    out = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            out.append(MetricRecord(
-                rep=int(row["rep"]), method=row["method"],
-                ok=bool(int(row["ok"])), linf=float(row["linf_error"]),
-                l2=float(row["l2_error"]),
-                false_positives=int(row["false_positives"]),
-                true_positives=int(row["true_positives"]),
-                support_size=int(row["support_size"])))
-    return out
-
-
 def parse_spec_file(path) -> ExperimentSpec:
-    """Read a key=value spec file ('#' starts a comment) into an ExperimentSpec."""
+    """Read a key=value spec file ('#' starts a comment) into an ExperimentSpec.
+
+    A key given twice, directly or through its alias, is an error."""
     raw: dict[str, str] = {}
+    seen: dict[str, int] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.split("#", 1)[0].strip()
@@ -363,7 +354,13 @@ def parse_spec_file(path) -> ExperimentSpec:
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected key=value")
             key, val = (part.strip() for part in line.split("=", 1))
-            raw[key.lower()] = val
+            key = key.lower()
+            name = _SPEC_ALIASES.get(key, key)
+            if name in seen:
+                raise DomainError(f"{path}:{lineno}: spec key {key!r} repeats "
+                                  f"line {seen[name]}")
+            seen[name] = lineno
+            raw[key] = val
     return spec_from_mapping(raw)
 
 
@@ -376,13 +373,14 @@ def _number(kind, key: str, text: str):
 
 
 def spec_from_mapping(raw: dict) -> ExperimentSpec:
-    aliases = {"s_star": "sparsity", "t0": "burn_in", "t": "samples"}
     fields = {}
     chain_fields = {}
     bool_values = {"true": True, "false": False, "1": True, "0": False,
                    "yes": True, "no": False}
     for given, val in raw.items():
-        key = aliases.get(given, given)
+        key = _SPEC_ALIASES.get(given, given)
+        if key in fields or key in chain_fields:
+            raise DomainError(f"spec key {given!r} sets {key!r} a second time")
         if key in ("n", "p", "sparsity", "reps", "seed", "tune_reps",
                    "max_support"):
             fields[key] = _number(int, given, val)

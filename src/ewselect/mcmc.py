@@ -1,6 +1,6 @@
 """Metropolis-Hastings sampler over supports and its estimators.
 
-One kernel, _walk, serves run_chain and mh_step.  It mixes two symmetric
+One kernel, _walk, serves run_chain.  It mixes two symmetric
 proposals: flip (toggle one uniformly chosen coordinate) and swap (exchange
 a uniform member for a uniform non-member, drawn by rejection), so
 acceptance reduces to the posterior ratio.  The kernel weighs a support as
@@ -89,7 +89,6 @@ class ChainAccumulators:
     p: int
     samples: int
     mean_sum: np.ndarray
-    restricted_sum: np.ndarray
     best_support: tuple[int, ...]
     best_log_weight: float
     visit_counts: dict = field(repr=False)
@@ -143,29 +142,9 @@ def posterior_mean(acc: ChainAccumulators) -> np.ndarray:
     return acc.mean_sum / acc.samples
 
 
-def restricted_posterior_mean(acc: ChainAccumulators) -> np.ndarray:
-    """Same average but only over full-rank supports (sub-probability sum)."""
-    return acc.restricted_sum / acc.samples
-
-
 def map_refit(acc: ChainAccumulators, data: Dataset):
     """Best visited support and its refitted coefficients."""
     return acc.best_support, least_squares_min_norm(data, acc.best_support)
-
-
-def mh_step(state: SubsetState, data: Dataset, pcfg: PosteriorConfig, rng,
-            move_mix: tuple[float, float] = (0.5, 0.5)) -> SubsetState:
-    """One step of run_chain's kernel for the posterior `pcfg`; returns the
-    new state (same object if rejected).
-
-    Both proposals are symmetric, so the acceptance probability is
-    min(1, exp(delta log-weight)); a flip that would exceed the support cap
-    is an immediate rejection.  The step draws its uniforms one at a time,
-    so it consumes `rng` differently from run_chain's blocked draws, with
-    the same transition law.
-    """
-    return _walk(data, pcfg, state, 1, 0, _check_move_mix(move_mix), rng, 1,
-                 None)[0]
 
 
 def _initial_support(data: Dataset, pcfg: PosteriorConfig, init) -> tuple[int, ...]:
@@ -227,7 +206,6 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     visits: dict[tuple[int, ...], int] = {}
     visit_overflow = 0
     mean_sum = np.zeros(p)
-    restr_sum = np.zeros(p)
     best_support, best_lw = state.support, lw_cur
     run_len = 0
     proposed = [0] * len(MOVES)
@@ -245,8 +223,6 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
         idx, val = state.beta_sparse(data)
         if len(idx):
             mean_sum[idx] += val * n_steps
-            if state.full_rank:
-                restr_sum[idx] += val * n_steps
         if state.support in visits:
             visits[state.support] += n_steps
         elif len(visits) < VISIT_CAP:
@@ -360,7 +336,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
 
     flush(run_len)
     return state, ChainAccumulators(
-        p=p, samples=samples, mean_sum=mean_sum, restricted_sum=restr_sum,
+        p=p, samples=samples, mean_sum=mean_sum,
         best_support=best_support, best_log_weight=best_lw,
         visit_counts=visits, visit_overflow=visit_overflow,
         accepted=sum(accepted), proposals=total, chains=1,
@@ -425,7 +401,6 @@ def _merge(parts: list[ChainAccumulators]) -> ChainAccumulators:
     for acc in parts[1:]:
         out.samples += acc.samples
         out.mean_sum += acc.mean_sum
-        out.restricted_sum += acc.restricted_sum
         if acc.best_log_weight > out.best_log_weight:
             out.best_support = acc.best_support
             out.best_log_weight = acc.best_log_weight

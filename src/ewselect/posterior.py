@@ -6,7 +6,6 @@ oracle for the Metropolis sampler and as the solver for tiny problems.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
@@ -81,14 +80,6 @@ class PosteriorTable:
     def log_weight_of(self, J) -> float:
         block, idx = self._locate(J)
         return float(block.log_weight[idx])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["subset", "log_weight", "prob"])
-            for subset, lw, pr in self.entries():
-                w.writerow([";".join(str(v) for v in subset),
-                            f"{lw:.17g}", f"{pr:.17g}"])
 
 
 def enumerate_posterior(data: Dataset, cfg: PosteriorConfig,

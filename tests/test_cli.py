@@ -721,7 +721,7 @@ class TestExperimentCommand:
     def test_end_to_end(self, tmp_path, capsys):
         spec = tmp_path / "run.spec"
         spec.write_text("n=30\np=10\ns_star=2\nreps=2\nseed=5\n"
-                        "methods=aew,lasso\nt0=200\nt=600\ntune_reps=1\n")
+                        "methods=ew,lasso\nt0=200\nt=600\ntune_reps=1\n")
         out = tmp_path / "out"
         code = main(["experiment", "--spec", str(spec), "--out", str(out)])
         assert code == 0
@@ -731,7 +731,8 @@ class TestExperimentCommand:
             rows = list(csv.DictReader(fh))
         assert {r["method"] for r in rows} == {"ew", "lasso"}
 
-    @pytest.mark.parametrize("line", ["max_support=0", "lasso_a=-1"])
+    @pytest.mark.parametrize("line", ["max_support=0", "lasso_a=-1",
+                                      "methods=ew,ew", "n=40"])
     def test_invalid_spec_value_exit_code(self, tmp_path, line):
         spec = tmp_path / "bad.spec"
         spec.write_text("n=30\np=10\ns_star=2\nreps=2\nt0=20\nt=40\n"

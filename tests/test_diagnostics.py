@@ -7,9 +7,8 @@ import pytest
 
 import ewselect.diagnostics as diag
 import ewselect.enumeration as enumeration
-from ewselect import (Dataset, DomainError, TooLargeError,
-                      covariance_subset_bounds, design_report, is_identifiable,
-                      max_restricted_singular, min_fullrank_singular_estimate,
+from ewselect import (Dataset, DomainError, TooLargeError, design_report,
+                      is_identifiable, max_restricted_singular,
                       min_restricted_singular, signal_strength_threshold,
                       subset_min_singular)
 
@@ -281,8 +280,6 @@ class TestRestrictedSingularValues:
         for scan in (min_restricted_singular, max_restricted_singular):
             with pytest.raises(DomainError, match="seed"):
                 scan(d, 2, mode="mc", seed=-1)
-        with pytest.raises(DomainError, match="seed"):
-            min_fullrank_singular_estimate(d, seed=-1)
 
     def test_sample_blocks_equal_one_shot_draw(self, monkeypatch):
         p, s, count = 13, 4, 7
@@ -305,25 +302,6 @@ class TestRestrictedSingularValues:
     def test_subset_min_singular_rejects_bad_subsets(self, small_data, J):
         with pytest.raises(DomainError):
             subset_min_singular(small_data, J)
-
-    def test_fullrank_envelope_is_upper_bound(self, rng):
-        X = rng.standard_normal((20, 8))
-        d = Dataset(X, rng.standard_normal(20))
-        est = min_fullrank_singular_estimate(d, samples=2000, seed=3)
-        # true minimum over full-rank subsets is below any sampled value
-        true_min = math.inf
-        for s in range(1, 9):
-            lo, _ = svd_oracle(X, s)
-            if lo > 1e-5:
-                true_min = min(true_min, lo)
-        assert est >= true_min - 1e-9
-
-    def test_fullrank_envelope_validated(self, rng):
-        d = Dataset(rng.standard_normal((20, 8)), rng.standard_normal(20))
-        for kwargs in ({"max_size": 0}, {"max_size": -2}, {"samples": 0},
-                       {"samples": -5}):
-            with pytest.raises(DomainError):
-                min_fullrank_singular_estimate(d, **kwargs)
 
 
 class TestIdentifiability:
@@ -393,42 +371,6 @@ class TestSignalThreshold:
     def test_non_finite_nu_rejected(self, nu):
         with pytest.raises(DomainError, match="nu"):
             signal_strength_threshold(1.0, 5.0, 100, nu)
-
-
-class TestCovarianceBounds:
-    def test_identity(self):
-        for s in (1, 2, 3):
-            assert covariance_subset_bounds(np.eye(6), s) == (1.0, 1.0)
-
-    def test_equicorrelation_closed_form(self):
-        # 2x2 principal blocks of the 0.5-equicorrelation matrix have
-        # eigenvalues {1.5, 0.5}
-        S = np.full((5, 5), 0.5)
-        np.fill_diagonal(S, 1.0)
-        eta, lam = covariance_subset_bounds(S, 2)
-        assert eta == pytest.approx(3.0, abs=1e-12)
-        assert lam == pytest.approx(0.5, abs=1e-12)
-
-    def test_size_one_gives_diagonal(self):
-        S = np.diag([2.0, 0.3, 1.1])
-        eta, lam = covariance_subset_bounds(S, 1)
-        assert eta == 1.0
-        assert lam == pytest.approx(0.3, rel=1e-14)
-
-    def test_singular_flagged_as_infinite(self):
-        S = np.ones((4, 4))
-        eta, lam = covariance_subset_bounds(S, 2)
-        assert eta == math.inf
-        assert lam <= 1e-12
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            covariance_subset_bounds(np.array([[1.0, 0.5], [0.4, 1.0]]), 1)
-
-    def test_enumeration_cap(self):
-        # C(56, 5) = 3,819,816 submatrices, over the default cap
-        with pytest.raises(TooLargeError):
-            covariance_subset_bounds(np.eye(56), 5)
 
 
 class TestDesignReport:

@@ -1,16 +1,17 @@
 import csv
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ewselect.experiments as exps
-from ewselect import (ChainConfig, DomainError, ExperimentSpec,
+from ewselect import (ChainConfig, DomainError, ExperimentSpec, MetricRecord,
                       compute_metrics, emit, generate_instance,
                       parse_spec_file, run_experiment)
-from ewselect.experiments import load_reps_csv, spec_from_mapping
+from ewselect.experiments import spec_from_mapping
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -199,7 +200,15 @@ class TestEmit:
         names = {os.path.basename(f) for f in files}
         assert {"reps.csv", "summary.csv", "boxplot_linf.svg",
                 "boxplot_l2.svg", "boxplot_fp.svg"} <= names
-        back = load_reps_csv(tmp_path / "reps.csv")
+        with open(tmp_path / "reps.csv", newline="") as fh:
+            back = [MetricRecord(
+                rep=int(row["rep"]), method=row["method"],
+                ok=bool(int(row["ok"])), linf=float(row["linf_error"]),
+                l2=float(row["l2_error"]),
+                false_positives=int(row["false_positives"]),
+                true_positives=int(row["true_positives"]),
+                support_size=int(row["support_size"]))
+                for row in csv.DictReader(fh)]
         assert back == summ.records
 
     def test_empty_method_set_header_only(self, tmp_path):
@@ -243,11 +252,11 @@ class TestSpecParsing:
         path.write_text(
             "# comment line\n"
             "n = 100\np=200\ns_star = 5\nreps= 7\nseed=99\n"
-            "methods = aew, lasso\nlambda_kappa = 3.5\n"
+            "methods = ew, lasso\nlambda_kappa = 3.5\n"
             "t0 = 500\nt = 1500\nnormalize = false\nthreshold = auto\n")
         spec = parse_spec_file(path)
         assert (spec.n, spec.p, spec.sparsity, spec.reps) == (100, 200, 5, 7)
-        assert spec.methods == ("ew", "lasso")   # alias folded
+        assert spec.methods == ("ew", "lasso")
         assert spec.chain.burn_in == 500 and spec.chain.samples == 1500
         assert spec.normalize is False
         assert spec.threshold is None
@@ -258,6 +267,25 @@ class TestSpecParsing:
         with pytest.raises(DomainError):
             parse_spec_file(path)
 
+    @pytest.mark.parametrize("text,line", [
+        ("n = 20\np = 10\ns_star = 2\nn = 30\n", 4),
+        ("n = 20\np = 10\nsparsity = 2\nt0 = 100\nburn_in = 200\n", 5),
+        ("n = 20\np = 10\nsamples = 300\ns_star = 2\nT = 400\n", 5),
+        ("n = 20\np = 10\ns_star = 2\nsparsity = 2\n", 4)])
+    def test_repeated_key_rejected(self, tmp_path, text, line):
+        path = tmp_path / "twice.spec"
+        path.write_text(text)
+        with pytest.raises(DomainError, match=re.escape(f"{path}:{line}: ")):
+            parse_spec_file(path)
+
+    @pytest.mark.parametrize("pair", [("t0", "burn_in"), ("samples", "t"),
+                                      ("sparsity", "s_star")])
+    def test_key_and_alias_rejected(self, pair):
+        raw = {"n": "20", "p": "10", "sparsity": "2", "t0": "100", "t": "300"}
+        raw.update(dict.fromkeys(pair, "2"))
+        with pytest.raises(DomainError, match="second time"):
+            spec_from_mapping(raw)
+
     def test_missing_required_key(self):
         with pytest.raises(DomainError):
             spec_from_mapping({"n": "10", "p": "5"})
@@ -267,6 +295,9 @@ class TestSpecParsing:
             ExperimentSpec(n=10, p=5, sparsity=9)
         with pytest.raises(DomainError):
             ExperimentSpec(n=10, p=5, sparsity=2, methods=("ridge",))
+        with pytest.raises(DomainError, match="'ew' is listed more than once"):
+            ExperimentSpec(n=20, p=10, sparsity=2, reps=3,
+                           methods=("ew", "ew", "lasso"))
 
     @pytest.mark.parametrize("bad", [{"max_support": 0}, {"max_support": -2},
                                      {"lasso_a": -1.0}, {"lasso_a": 0.0},

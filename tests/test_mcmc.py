@@ -10,9 +10,8 @@ import pytest
 from ewselect import (ChainConfig, Dataset, DomainError, PosteriorConfig,
                       default_threshold, enumerate_posterior, exact_estimators,
                       least_squares_min_norm, log_posterior_unnorm,
-                      make_state, map_refit, mh_step, posterior_mean,
-                      practical_lambda, restricted_posterior_mean, run_chain,
-                      threshold_coefficients)
+                      make_state, map_refit, posterior_mean,
+                      practical_lambda, run_chain, threshold_coefficients)
 from ewselect import mcmc
 from ewselect.baselines import (LassoConfig, default_lasso_penalty,
                                 lasso_coordinate_descent)
@@ -104,6 +103,11 @@ def windowed_and_scalar(monkeypatch, data, cfg, start, steps, mix, block,
     return out
 
 
+# one step of run_chain's kernel, its uniforms drawn one at a time
+def one_step(state, data, cfg, rng, mix=(0.5, 0.5)):
+    return mcmc._walk(data, cfg, state, 1, 0, mix, rng, 1, None)[0]
+
+
 class TestMhStep:
     def test_cap_exceeding_flip_rejected(self, rng):
         X = rng.standard_normal((10, 4))
@@ -112,7 +116,7 @@ class TestMhStep:
         st = make_state(d, (0, 1))
         seen_sizes = set()
         for _ in range(200):
-            st = mh_step(st, d, cfg, rng)
+            st = one_step(st, d, cfg, rng)
             seen_sizes.add(st.size)
         assert max(seen_sizes) <= 2
 
@@ -129,7 +133,7 @@ class TestMhStep:
         changes = 0
         prev = st.support
         for _ in range(300):
-            st = mh_step(st, d, cfg, rng, move_mix=(0.0, 1.0))  # swap-only
+            st = one_step(st, d, cfg, rng, mix=(0.0, 1.0))  # swap-only
             visited.add(st.support)
             if st.support != prev:
                 changes += 1
@@ -150,7 +154,7 @@ class TestMhStep:
             st0 = make_state(data, start)
             counts = Counter()
             for _ in range(reps):
-                nxt = mh_step(st0, data, cfg, rng)
+                nxt = one_step(st0, data, cfg, rng)
                 counts[nxt.support] += 1
             return {sup: c / reps for sup, c in counts.items()}
 
@@ -182,7 +186,6 @@ class TestRunChain:
         a1 = run_chain(data, cfg, ccfg)
         a2 = run_chain(data, cfg, ccfg)
         assert np.array_equal(a1.mean_sum, a2.mean_sum)
-        assert np.array_equal(a1.restricted_sum, a2.restricted_sum)
         assert a1.visit_counts == a2.visit_counts
         assert a1.best_support == a2.best_support
         assert a1.accepted == a2.accepted
@@ -429,19 +432,6 @@ class TestRunChain:
         with pytest.raises(DomainError):
             run_chain(data, cfg, ChainConfig(burn_in=0, samples=10,
                                              init=(0, 1, 2)))
-
-    def test_restricted_mean_tracks_full_rank_states(self):
-        # duplicated columns make some visited states rank-deficient
-        rng = np.random.default_rng(44)
-        X = rng.standard_normal((15, 6))
-        X[:, 5] = X[:, 0]
-        y = X[:, 0] * 1.5 + 0.5 * rng.standard_normal(15)
-        data = Dataset(X, y, 0.5)
-        cfg = PosteriorConfig(lam=0.2, max_support=3, sigma2=0.25)
-        acc = run_chain(data, cfg, ChainConfig(burn_in=200, samples=5000, seed=2))
-        # restricted sum only accumulates full-rank states, so it differs
-        assert not np.allclose(restricted_posterior_mean(acc),
-                               posterior_mean(acc))
 
     def test_map_refit(self):
         data, _ = planted_instance(37, 30, 10, [2.0], sigma=0.3)
@@ -732,10 +722,6 @@ class TestChainConfigValidation:
     def test_move_mix_is_two_finite_probabilities(self, mix):
         with pytest.raises(DomainError, match="move_mix"):
             ChainConfig(move_mix=mix)
-        data, cfg = flat_posterior_data(p=4)
-        with pytest.raises(DomainError, match="move_mix"):
-            mh_step(make_state(data, (0,)), data, cfg,
-                    np.random.default_rng(0), move_mix=mix)
 
     def test_negative_seed_rejected(self):
         # SeedSequence would raise a bare ValueError once the chain starts

@@ -182,20 +182,6 @@ class TestEnumeratePosterior:
         # (0,) and (2,) tie exactly; sparser beats supersets; lex picks (0,)
         assert table.map_subset == (0,)
 
-    def test_csv_round_trip(self, tmp_path, small_data):
-        cfg = PosteriorConfig(lam=2.0, max_support=2, sigma2=1.0)
-        table = enumerate_posterior(small_data, cfg)
-        path = tmp_path / "table.csv"
-        table.to_csv(path)
-        import csv as csvmod
-        with open(path, newline="") as fh:
-            rows = list(csvmod.DictReader(fh))
-        assert len(rows) == table.n_entries
-        by_subset = {r["subset"]: float(r["prob"]) for r in rows}
-        for subset, _, pr in table.entries():
-            key = ";".join(str(v) for v in subset)
-            assert by_subset[key] == pytest.approx(pr, rel=1e-15)
-
     def test_memory_peak_is_the_fits(self, rng):
         # weighting the fits in place adds no full-size copy after the walk;
         # the Gram and the index arrays are built before either measurement

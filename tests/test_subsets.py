@@ -67,10 +67,6 @@ class TestDataset:
         X = normalized_gaussian(rng, 20, 6)
         d = Dataset(X, rng.standard_normal(20))
         assert d.max_normalization_error() <= 1e-9
-        d.assert_normalized()
-        bad = Dataset(2.0 * X, rng.standard_normal(20))
-        with pytest.raises(DomainError):
-            bad.assert_normalized()
 
     def test_rescale_roundtrip(self, rng):
         X = rng.standard_normal((12, 4)) * np.array([1.0, 3.0, 0.2, 7.0])
