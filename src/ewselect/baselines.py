@@ -69,11 +69,15 @@ def _exhaustive_l0(data: Dataset, cfg: L0Config):
     a lower bound on every criterion in it, exceeds the best criterion so
     far by more than 1e-9 y'y.  Criteria within that slack of the minimum
     tie; ties go to the smaller, then lexicographically first, support.
-    The cap counts every subset up to max_support, pruned or not.
+    The cap counts every subset up to max_support, pruned or not.  The
+    walk cuts from its first batch against greedy l0's score, which some
+    support attains.
     """
     s_max = min(cfg.max_support, data.p)
     check_cap(subset_count(data.p, s_max))
-    return _penalized_scan(data, s_max, cfg.lam)
+    start = _greedy_l0(data, cfg.lam, s_max)
+    return _penalized_scan(data, s_max, cfg.lam,
+                           residual_ss(data, start) + cfg.lam * len(start))
 
 
 def _greedy_l0(data: Dataset, lam: float, cap: int) -> tuple[int, ...]:

@@ -111,7 +111,7 @@ def _shifted_cholesky_screen(G: np.ndarray, s: int, shift: float, want: str):
             hit = rc = None   # free them before the walk builds the next batch
             yield np.column_stack([P[b], f + c, f + l])
         elif want == "min":
-            yield from _completions(P, f, ok, p, s - k - 1)
+            yield from _completions(P, f, ok, p, [s - k - 1])
 
 
 def _pair_certificate(A: np.ndarray, s: int):

@@ -19,9 +19,10 @@ score at least rss(P + {c, ..., p-1}) + lam (|P| + 2).  One Cholesky
 factor of the bordered Gram in reverse column order (_suffix_factor) holds
 the Schur complement of every suffix {c, ..., p-1}, so each batch reads the
 bound of every child from a |P| + 1 square block per child (_suffix_rss).
-A child whose bound exceeds the best score so far by more than a slack of
-1e-9 y'y is formed and scored, but never expanded (the walk's `expand`
-hook, which the min screen of the diagnostics also uses).
+A child whose bound exceeds the best score so far (at first, greedy l0's)
+by more than a slack of 1e-9 y'y is formed and scored, but never expanded
+(the walk's `expand` hook, which the min screen of the diagnostics also
+uses).
 """
 
 from __future__ import annotations
@@ -151,8 +152,9 @@ def _lex_rank(J: np.ndarray, p: int):
 @lru_cache(maxsize=64)
 def _binom(p: int, k: int) -> np.ndarray:
     """binom[n, r] = C(n, r) for n < p and r <= k, by the hockey-stick
-    identity.  Entries that wrap are never read (those _lex_rank reads are
-    at most C(p, k), and a C(p, k) beyond int64 raises OverflowError)."""
+    identity.  Entries that wrap are never read (those _lex_rank and
+    _completions read are at most C(p, k), and a C(p, k) beyond int64
+    raises OverflowError)."""
     binom = np.zeros((p, k + 1), dtype=np.int64)
     binom[:, 0] = 1
     for r in range(1, k + 1):
@@ -166,17 +168,29 @@ def gather_gram(G: np.ndarray, subs: np.ndarray) -> np.ndarray:
     return G[subs[:, :, None], subs[:, None, :]]
 
 
-def _completions(P: np.ndarray, f: int, ok: np.ndarray, q: int, t: int):
-    """For each child column c of a walk batch (P, f, ok) whose pivot failed
-    on some prefix row, one array of the rows P[i] + (f+c,) + T over those
-    failing rows P[i] and the size-t subsets T of range(f+c+1, q),
-    prefix-major."""
-    for c in np.flatnonzero(~ok.all(axis=0)):
-        j, Pc = f + c, P[~ok[:, c]]
-        tails = subset_index_array(q - 1 - j, t) + (j + 1)
-        yield np.column_stack([np.repeat(Pc, len(tails), axis=0),
-                               np.full(len(Pc) * len(tails), j),
-                               np.tile(tails, (len(Pc), 1))])
+def _completions(P: np.ndarray, f: int, ok: np.ndarray, q: int, ts):
+    """For each t in ts, one array of the rows P[b] + (f+c,) + T over the
+    children P[b] + (f+c) of a walk batch (P, f, ok) whose pivot failed and
+    the size-t subsets T of range(f+c+1, q): by column, then prefix row,
+    then T in lex order.  Nothing when every pivot succeeded.
+
+    The T of column c are the last C(q-1-f-c, t) rows of the lex-ordered
+    size-t subsets of range(f+1, q), those whose first element exceeds f+c,
+    so each array costs one gather (subset_index_array's trick)."""
+    cc, bb = np.nonzero(~ok.T)
+    if not len(cc):
+        return
+    k = P.shape[1]
+    for t in ts:
+        tails = subset_index_array(q - 1 - f, t) + (f + 1)
+        lens = _binom(q, t)[q - 1 - f - cc, t]
+        ends = np.cumsum(lens)
+        rows = np.empty((ends[-1], k + 1 + t), dtype=np.intp)
+        rows[:, :k] = np.repeat(P[bb], lens, axis=0)
+        rows[:, k] = np.repeat(f + cc, lens)
+        rows[:, k + 1 :] = tails[np.arange(ends[-1])
+                                 + np.repeat(len(tails) - ends, lens)]
+        yield rows
 
 
 def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
@@ -202,6 +216,15 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
     B[b] is the node's B over columns f.. of A, or None without `coefs`.
     Failed children and children of size `depth` are not expanded; the
     latter's rows cover only the carried columns.
+
+    A batch forms the children it expands with one gather per field, ordered
+    by child column, then node, over all columns after f; the children of
+    column c keep their fields from column f+c+1 on.  Each column's slice
+    is copied out at once, so the batch's padded gathers die with it (views
+    kept to the level's end raised the peak of _subset_fits at (100, 20),
+    |J| <= 7, by 60 %), and at the level's end the nodes of each largest
+    column are written once into one array per field, in the order their
+    batches formed them.
 
     With `leaves`, only the pivots of the size depth + 1 subsets are wanted:
     children that cannot reach that size are skipped, and the last rows
@@ -259,22 +282,44 @@ def _cholesky_walk(A: np.ndarray, q: int, depth: int, tol: float,
                         continue
                     grow = ok if expand is None else ok & expand(
                         P, f, W[:, :, lo - m - 1 :], w, rc)
-                    for c in np.flatnonzero(grow.any(axis=0)):
-                        sel = grow[:, c]
-                        wc = w[sel, None, c, c + 1 :]
-                        child = (np.column_stack([P[sel],
-                                                  np.full(sel.sum(), f + c)]),
-                                 np.concatenate([W[sel, :, c0 + c + 1 :], wc],
-                                                axis=1),
-                                 rc[sel, c, c + 1 :])
-                        if coefs:
-                            t = wc / sq[sel, c, None, None]
-                            child += (np.concatenate(
-                                [B[sel, :, c + 1 :] - B[sel, :, c, None] * t,
-                                 t], axis=1),)
-                        nxt[f + c].append(child)
-        level = {j: tuple(np.concatenate(a) for a in zip(*parts))
-                 for j, parts in nxt.items()}
+                    cc, bb = np.nonzero(grow.T)   # by column, then node
+                    if not len(cc):
+                        continue
+                    new = w[bb, cc, 1:]   # fields over columns f+1.. of A
+                    wide = [new, rc[bb, cc, 1:], W[bb, :, c0 + 1 :]]
+                    if coefs:
+                        new = new / sq[bb, cc, None]
+                        wide += [new, B[bb, :, 1:]
+                                 - B[bb, :, cc][..., None] * new[:, None]]
+                    kid = np.column_stack([P[bb], f + cc])
+                    ends = np.cumsum(grow.sum(axis=0)).tolist()
+                    for c, s, e in zip(range(nc), [0, *ends], ends):
+                        if s < e:   # column c's children are rows s:e
+                            nxt[f + c].append([kid[s:e]] + [
+                                a[s:e, ..., c:].copy() for a in wide])
+                    new = wide = None
+        level = {j: _nodes(nxt.pop(j)) for j in list(nxt)}
+
+
+def _nodes(parts) -> tuple:
+    """A level's nodes of one largest column, (P, W, r) or (P, W, r, B),
+    from the parts its batches formed, [P, w, rc, W] or [P, w, rc, W, t, B]
+    (t and w the new rows of B and W).  Each field is written once."""
+    P, w, rc, W, *tB = zip(*parts)
+    nodes = (np.concatenate(P), _stack(W, w), np.concatenate(rc))
+    if tB:
+        nodes += (_stack(tB[1], tB[0]),)
+    return nodes
+
+
+def _stack(old, new) -> np.ndarray:
+    """The nodes of one level and largest column: [old ; new] along axis 1,
+    old the parts' (n, k, width) rows and new their (n, width) new rows,
+    written once into one (sum n, k+1, width) array."""
+    out = np.empty((sum(map(len, new)), old[0].shape[1] + 1, new[0].shape[1]))
+    np.concatenate(old, out=out[:, :-1])
+    np.concatenate(new, out=out[:, -1])
+    return out
 
 
 def _bordered_gram(data) -> np.ndarray:
@@ -306,12 +351,11 @@ def _walk_fits(data, A: np.ndarray, s_max: int, coefs: bool = True,
                                     theta])
         yield (np.column_stack([P[b], f + c]), np.maximum(rc[b, c, -1], 0.0),
                beta, True)
-        for t in range(s_max - P.shape[1]):
-            for rows in _completions(P, f, ok, data.p, t):
-                step = max(_SCREEN_ELEMS // (data.n * rows.shape[1]), 1)
-                for i in range(0, len(rows), step):
-                    beta, rss = _svd_fit(data, rows[i : i + step])
-                    yield rows[i : i + step], rss, beta, False
+        for rows in _completions(P, f, ok, data.p, range(s_max - P.shape[1])):
+            step = max(_SCREEN_ELEMS // (data.n * rows.shape[1]), 1)
+            for i in range(0, len(rows), step):
+                beta, rss = _svd_fit(data, rows[i : i + step])
+                yield rows[i : i + step], rss, beta, False
 
 
 def _subset_fits(data, s_max: int):
@@ -385,11 +429,17 @@ def _suffix_rss(A, U, live, P: np.ndarray, f: int, nc: int, tol: float):
     return np.concatenate(out)
 
 
-def _penalized_scan(data, s_max: int, lam: float):
+def _penalized_scan(data, s_max: int, lam: float, attained: float):
     """(support, score) minimizing rss(J) + lam |J| over |J| <= s_max, by
     the branch-and-bound of the module docstring on the fits of _walk_fits
     without coefficients.  Scores within the slack of the minimum tie, and
     ties go to the smaller, then lexicographically first, support.
+
+    `attained` is a score some support attains, rounded apart from the
+    walk's own score for it by far less than the slack: the walk cuts
+    against it until it offers a lower one.  The minimum scores no higher,
+    so no subtree that holds it is cut, and the result comes from the
+    walk's offers alone.
 
     A child is formed and offered before its bound is read, and only its
     descendants, of |P| + 2 columns or more, are cut.  So with s_max <= 2
@@ -418,7 +468,7 @@ def _penalized_scan(data, s_max: int, lam: float):
         def expand(P, f, W, w, rc):
             lb = (_suffix_rss(A, U, live, P, f, w.shape[1], tol)
                   + lam * (P.shape[1] + 2))
-            return ~(lb > best + slack)
+            return ~(lb > min(best, attained) + slack)
 
     for rows, rss, _, _ in _walk_fits(data, A, s_max, coefs=False,
                                       expand=expand):

@@ -242,6 +242,104 @@ class TestBranchAndBound:
         assert subset_count(20, 7) == 137_980
         assert 0 < fitted[0] <= 0.01 * 137_980
 
+    def test_greedy_start_forms_fewer_children(self, monkeypatch):
+        d, _ = planted_instance(11, 100, 20, [1.0, 1.0, 1.0], sigma=0.5)
+        lam = 2 * 0.25 * practical_lambda(20)
+        walk, formed = enumeration._cholesky_walk, []
+
+        def counting(*args, **kwargs):
+            formed.append(0)
+            for batch in walk(*args, **kwargs):
+                formed[-1] += batch[3].size
+                yield batch
+        monkeypatch.setattr(enumeration, "_cholesky_walk", counting)
+        cold = enumeration._penalized_scan(d, 7, lam, d.yty)   # the empty set
+        seeded = _exhaustive_l0(d, L0Config(lam=lam, max_support=7))
+        assert seeded == cold
+        assert seeded[0] == (0, 1, 2)
+        assert len(formed) == 2 and formed[1] < formed[0]
+
+
+def completions_loop(P, f, ok, q, t):
+    """The rows of enumeration._completions at one t, one column at a time."""
+    for c in np.flatnonzero(~ok.all(axis=0)):
+        j, Pc = f + c, P[~ok[:, c]]
+        tails = subset_index_array(q - 1 - j, t) + (j + 1)
+        yield np.column_stack([np.repeat(Pc, len(tails), axis=0),
+                               np.full(len(Pc) * len(tails), j),
+                               np.tile(tails, (len(Pc), 1))])
+
+
+class TestWalkExpand:
+    """The walk forms exactly the subtrees its `expand` hook keeps, with the
+    bits of the walk without a hook."""
+
+    @staticmethod
+    def walk(d, depth, expand=None):
+        """{child: (ok, w row, rc row, sq)} and {(node, f): B row} of every
+        batch the walk on d's bordered Gram yields."""
+        kids, nodes = {}, {}
+        for P, f, B, ok, w, rc, sq in enumeration._cholesky_walk(
+                enumeration._bordered_gram(d), d.p, depth, EPS_RANK * d.n,
+                expand=expand):
+            for b, row in enumerate(P.tolist()):
+                nodes[tuple(row), f] = B[b]
+                for c in range(ok.shape[1]):
+                    kids[(*row, f + c)] = (ok[b, c], w[b, c], rc[b, c],
+                                           sq[b, c])
+        return kids, nodes
+
+    def test_completions_follow_the_column_loop(self, rng):
+        q, f = 12, 5
+        P = subset_index_array(f, 2)
+        ok = rng.random((len(P), q - f)) < 0.7
+        ts = range(q - f + 1)   # the last t leaves no completion
+        got = list(enumeration._completions(P, f, ok, q, ts))
+        assert len(got) == len(ts)
+        for rows, t in zip(got, ts):
+            np.testing.assert_array_equal(
+                rows, np.concatenate(list(completions_loop(P, f, ok, q, t))))
+        ok[:] = True
+        assert not list(enumeration._completions(P, f, ok, q, ts))
+
+    @pytest.mark.parametrize("elems", [64, 4096, None])
+    def test_hook_keeps_exactly_its_subtrees(self, rng, monkeypatch, elems):
+        if elems:   # 64 also cuts the child columns of a node
+            monkeypatch.setattr(enumeration, "_SCREEN_ELEMS", elems)
+        X = rng.standard_normal((30, 12))
+        X[:, 7] = X[:, 3]    # children with 3 and 7 fail and never grow
+        d = Dataset(X, rng.standard_normal(30))
+        depth = 5
+        prefixes = [J for k in range(1, depth)
+                    for J in combinations(range(d.p), k)]
+        keep = dict(zip(prefixes, rng.random(len(prefixes)) < 0.6))
+        barren = dict(zip(prefixes, rng.random(len(prefixes)) < 0.2))
+        kept_cols, barren_nodes = [], [0]
+
+        def expand(P, f, W, w, rc):
+            mask = np.array([[keep[(*row, f + c)] and not barren.get(
+                tuple(row), False) for c in range(w.shape[1])]
+                for row in P.tolist()]).reshape(w.shape[:2])
+            kept_cols.append(int(mask.any(axis=0).sum()))
+            barren_nodes[0] += int((~mask.any(axis=1)).sum())
+            return mask
+
+        want_kids, want_nodes = self.walk(d, depth)
+        kids, nodes = self.walk(d, depth, expand)
+        assert max(kept_cols) >= 3 and barren_nodes[0] > 0
+        grown = {J for J, (ok, *_) in want_kids.items()
+                 if len(J) < depth and ok and keep[J]
+                 and not barren.get(J[:-1], False)}
+        assert set(kids) == {J for J in want_kids
+                             if all(J[:i] in grown for i in range(1, len(J)))}
+        assert not all(ok for ok, *_ in want_kids.values())
+        for J, got in kids.items():
+            for a, b in zip(got, want_kids[J]):
+                np.testing.assert_array_equal(a, b)
+        assert nodes.keys() <= want_nodes.keys()
+        for key, B in nodes.items():
+            np.testing.assert_array_equal(B, want_nodes[key])
+
 
 class TestEnumerationMeans:
     def test_exact_estimators_solves_no_eigenproblem(self, rng, monkeypatch):
