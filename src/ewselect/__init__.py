@@ -19,7 +19,7 @@ from .diagnostics import (DesignReport, design_report, is_identifiable,
 from .errors import (DomainError, EwselectError, NonFiniteError,
                      NotConvergedError, SingularError, TooLargeError)
 from .experiments import (ExperimentSpec, ExperimentSummary, MetricRecord,
-                          compute_metrics, emit, generate_instance,
+                          compute_metrics, emit, ew_select, generate_instance,
                           parse_spec_file, run_experiment)
 from .mcmc import (ChainAccumulators, ChainConfig, default_threshold,
                    map_refit, posterior_mean, run_chain,
@@ -41,10 +41,10 @@ __all__ = [
     "PosteriorTable", "SingularError", "SubsetState", "TooLargeError",
     "compute_metrics", "default_lasso_penalty", "default_threshold",
     "design_report", "emit", "empty_state", "enumerate_posterior",
-    "estimate_noise_variance", "exact_estimators", "generate_instance",
-    "inverse_gram_sign_norm", "irrepresentable_check", "is_identifiable",
-    "l0_select", "lasso_coordinate_descent", "lasso_duality_gap",
-    "lasso_kkt_violation", "least_squares_min_norm",
+    "estimate_noise_variance", "ew_select", "exact_estimators",
+    "generate_instance", "inverse_gram_sign_norm", "irrepresentable_check",
+    "is_identifiable", "l0_select", "lasso_coordinate_descent",
+    "lasso_duality_gap", "lasso_kkt_violation", "least_squares_min_norm",
     "log_posterior_unnorm", "log_prior", "make_state", "map_refit",
     "max_restricted_singular", "min_restricted_singular",
     "parse_spec_file", "posterior_mean", "practical_lambda",

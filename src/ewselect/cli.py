@@ -31,10 +31,9 @@ from .data import Dataset, rescale_columns
 from .diagnostics import DesignReport, design_report
 from .errors import (DomainError, NonFiniteError, NotConvergedError,
                      SingularError, TooLargeError)
-from .experiments import _g17, emit, parse_spec_file, run_experiment
-from .mcmc import (MOVES, ChainConfig, default_threshold, posterior_mean,
-                   run_chain, threshold_coefficients)
-from .priors import PosteriorConfig, practical_lambda, support_cap
+from .experiments import (_g17, emit, ew_select, parse_spec_file,
+                          run_experiment)
+from .mcmc import MOVES, ChainConfig
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -340,26 +339,15 @@ def _cmd_fit(args) -> int:
     data, scales = read_dataset_csv(args.data, sigma=args.sigma,
                                     rescale=args.rescale)
     t_noise = time.perf_counter()
-    sigma = args.sigma
-    if sigma is None:
+    if args.sigma is None:
         sigma2 = estimate_noise_variance(data)
-        sigma = math.sqrt(sigma2)
-        print(f"estimated sigma = {_g17(sigma)}", file=sys.stderr)
+        print(f"estimated sigma = {_g17(math.sqrt(sigma2))}", file=sys.stderr)
     else:
-        sigma2 = sigma * sigma
-    if sigma2 <= 0:
-        raise DomainError("noise variance must be positive to run the sampler")
-    pcfg = PosteriorConfig(lam=practical_lambda(data.p, args.lambda_kappa),
-                           max_support=support_cap(data.n, args.sbar),
-                           sigma2=sigma2)
+        sigma2 = args.sigma * args.sigma
     ccfg = ChainConfig(burn_in=args.t0, samples=args.t, seed=args.seed)
     t_chain = time.perf_counter()
-    acc = run_chain(data, pcfg, ccfg)
-    mean = posterior_mean(acc)
-    t_threshold = time.perf_counter()
-    tau = args.threshold if args.threshold is not None \
-        else default_threshold(sigma, data.n, data.p)
-    beta, support = threshold_coefficients(mean, tau)
+    support, beta, acc = ew_select(data, sigma2, ccfg, args.lambda_kappa,
+                                   args.sbar, args.threshold)
     t_end = time.perf_counter()
     print(f"selected support: {list(support)}", file=sys.stderr)
     print(f"acceptance rate: {acc.accept_rate:.4f}", file=sys.stderr)
@@ -370,8 +358,7 @@ def _cmd_fit(args) -> int:
     print(f"neighbour scores built: {acc.neighbour_builds}", file=sys.stderr)
     print(f"wall seconds: read {t_noise - t_read:.4f} "
           f"({_last_read_blocks} blocks), noise {t_chain - t_noise:.4f}, "
-          f"chain {t_threshold - t_chain:.4f}, "
-          f"threshold {t_end - t_threshold:.4f}", file=sys.stderr)
+          f"chain {t_end - t_chain:.4f}", file=sys.stderr)
     _write_coefficients(beta, scales, sys.stdout)
     return EXIT_OK
 

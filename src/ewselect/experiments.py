@@ -143,21 +143,33 @@ def _chain_seed(spec: ExperimentSpec, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def ew_select(data: Dataset, sigma2: float, chain: ChainConfig | None = None,
+              lambda_kappa: float = 4.0, max_support: int | None = None,
+              threshold: float | None = None):
+    """The thresholded posterior mean of the exponential-weights posterior:
+    the chain at lam = practical_lambda(p, lambda_kappa), with the cap
+    support_cap(n, max_support), then its ergodic mean cut at `threshold`
+    (default default_threshold(sqrt(sigma2), n, p)).  Returns (support,
+    beta, accumulators), in l0_select's order."""
+    pcfg = PosteriorConfig(lam=practical_lambda(data.p, lambda_kappa),
+                           max_support=support_cap(data.n, max_support),
+                           sigma2=sigma2)
+    acc = run_chain(data, pcfg, chain)
+    tau = threshold if threshold is not None \
+        else default_threshold(math.sqrt(sigma2), data.n, data.p)
+    beta, support = threshold_coefficients(posterior_mean(acc), tau)
+    return support, beta, acc
+
+
 def fit_exponential_weights(data: Dataset, spec: ExperimentSpec, rep: int):
-    """Chain -> ergodic mean -> threshold; returns (beta, support)."""
+    """ew_select under the spec's settings; returns (beta, support)."""
     sigma = data.sigma
     if not sigma or sigma <= 0:
         raise DomainError("exponential-weights fit needs a positive sigma")
-    pcfg = PosteriorConfig(
-        lam=practical_lambda(data.p, spec.lambda_kappa),
-        max_support=support_cap(data.n, spec.max_support),
-        sigma2=sigma * sigma)
-    ccfg = replace(spec.chain, seed=_chain_seed(spec, rep))
-    acc = run_chain(data, pcfg, ccfg)
-    mean = posterior_mean(acc)
-    tau = spec.threshold if spec.threshold is not None \
-        else default_threshold(sigma, data.n, data.p)
-    return threshold_coefficients(mean, tau)
+    support, beta, _ = ew_select(
+        data, sigma * sigma, replace(spec.chain, seed=_chain_seed(spec, rep)),
+        spec.lambda_kappa, spec.max_support, spec.threshold)
+    return beta, support
 
 
 def fit_lasso(data: Dataset, spec: ExperimentSpec, a: float):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DomainError
-from .priors import PosteriorConfig, log_prior_table
+from .priors import PosteriorConfig, check_temperature, log_prior_table
 from .subsets import (Neighbours, SubsetState, _check_subset,
                       least_squares_min_norm, make_state, peek_rss_add,
                       update_add, update_remove)
@@ -428,8 +428,10 @@ def run_chain(data: Dataset, pcfg: PosteriorConfig,
 
     With chains > 1, replicas run on independently spawned streams and the
     accumulators merge in chain order, so the result does not depend on any
-    execution interleaving.
+    execution interleaving.  A sigma2 too small for y'y (check_temperature)
+    is a DomainError.
     """
+    check_temperature(data.yty, pcfg)
     if ccfg is None:
         ccfg = ChainConfig()
     seeds = np.random.SeedSequence(ccfg.seed).spawn(ccfg.chains)

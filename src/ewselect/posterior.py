@@ -15,7 +15,8 @@ from .data import Dataset
 from .enumeration import (_subset_fits, check_cap, subset_count,
                           subset_index_array, subset_rank)
 from .errors import DomainError
-from .priors import NEG_INF, PosteriorConfig, log_prior, log_prior_table
+from .priors import (NEG_INF, PosteriorConfig, check_temperature, log_prior,
+                     log_prior_table)
 from .subsets import _check_subset, least_squares_min_norm, residual_ss
 
 
@@ -88,10 +89,12 @@ def enumerate_posterior(data: Dataset, cfg: PosteriorConfig,
 
     MAP ties break toward smaller supports, then lexicographically; both are
     automatic from the size-ascending, lex-ordered scan with strict argmax.
+    A sigma2 too small for y'y (check_temperature) is a DomainError.
     """
     p = data.p
     s_max = min(cfg.max_support, p)
     check_cap(subset_count(p, s_max), cap)
+    check_temperature(data.yty, cfg)
 
     lp = log_prior_table(p, cfg)
     fits = _subset_fits(data, s_max)

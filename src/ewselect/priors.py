@@ -50,6 +50,16 @@ class PosteriorConfig:
                 raise DomainError("independence prior requires 0 < omega < 1")
 
 
+def check_temperature(yty: float, cfg: PosteriorConfig) -> None:
+    """DomainError unless y'y / (2 sigma2) is finite.  Every RSS is at most
+    y'y and every log prior at most 0, so every log-weight and every
+    difference of two then stays finite."""
+    if not math.isfinite(yty / (2.0 * cfg.sigma2)):
+        raise DomainError(
+            f"sigma2 = {cfg.sigma2} is too small for y'y = {yty}: "
+            "y'y / (2 sigma2) overflows")
+
+
 def support_cap(n: int, cap: int | None = None) -> int:
     """`cap`, or by default max(n // 2, 1) for an n-row design."""
     return cap if cap is not None else max(n // 2, 1)

@@ -15,6 +15,7 @@ import pytest
 
 import ewselect
 from ewselect import cli
+from ewselect import ChainConfig, estimate_noise_variance, ew_select
 from ewselect.cli import main, read_dataset_csv
 from ewselect.diagnostics import design_report
 from ewselect.errors import DomainError, NonFiniteError
@@ -313,7 +314,7 @@ class TestBlocks:
 def test_interrupt_exits_130(planted_csv, monkeypatch, capsys):
     def interrupted(*args):
         raise KeyboardInterrupt
-    monkeypatch.setattr(cli, "run_chain", interrupted)
+    monkeypatch.setattr(ewselect.experiments, "run_chain", interrupted)
     assert main(["fit", str(planted_csv[0]), "--sigma", "1"]) == 130
     assert capsys.readouterr().err == "interrupted\n"
 
@@ -326,6 +327,7 @@ def test_interrupt_during_parse_leaves_no_process(tmp_path):
     path.write_text("y,x1\n" + "1,2\n" * 40)
     code = f"""
 import os, signal, sys, time
+signal.signal(signal.SIGINT, signal.default_int_handler)
 from ewselect import cli
 cli._BLOCK_BYTES = 1
 os.sched_getaffinity = lambda pid: set(range(4))
@@ -368,6 +370,7 @@ def test_interrupt_while_forking_leaves_no_process(tmp_path):
     path.write_text("y,x1\n" + "1,2\n" * 40)
     code = f"""
 import os, signal, sys, time
+signal.signal(signal.SIGINT, signal.default_int_handler)
 from ewselect import cli
 cli._BLOCK_BYTES = 1
 os.sched_getaffinity = lambda pid: set(range(4))
@@ -478,13 +481,13 @@ class TestFitCommand:
     def test_reports_neighbour_builds(self, planted_csv, monkeypatch,
                                       capsys):
         # its own line counts the chain's Neighbours builds
-        runs, real = [], cli.run_chain
+        runs, real = [], ewselect.experiments.run_chain
 
         def recorded(*args):
             runs.append(real(*args))
             return runs[-1]
 
-        monkeypatch.setattr(cli, "run_chain", recorded)
+        monkeypatch.setattr(ewselect.experiments, "run_chain", recorded)
         path, _, _, _, sigma = planted_csv
         assert main(["fit", str(path), "--sigma", str(sigma), "--t0", "500",
                      "--t", "1500", "--seed", "7"]) == 0
@@ -505,11 +508,10 @@ class TestFitCommand:
             out, err = capsys.readouterr()
             (line,) = [s for s in err.splitlines() if s.startswith("wall")]
             m = re.fullmatch(r"wall seconds: read (\S+) \((\d+) blocks\), "
-                             r"noise (\S+), chain (\S+), threshold (\S+)",
-                             line)
+                             r"noise (\S+), chain (\S+)", line)
             assert m is not None
             assert int(m.group(2)) == (1 if cpus == 1 else 4)
-            assert all(0 <= float(v) < 60 for v in m.group(1, 3, 4, 5))
+            assert all(0 <= float(v) < 60 for v in m.group(1, 3, 4))
             outs.append(out)
         assert outs[0] == outs[1]
 
@@ -582,6 +584,39 @@ class TestFitCommand:
                      "--t", "10", "--threshold", "nan"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "tau" in captured.err
+
+
+    def test_sigma_too_small_for_the_posterior_exit_code(self, planted_csv,
+                                                          capsys):
+        # at sigma^2 = 1e-310 y'y / (2 sigma^2) overflows and every
+        # log-weight would be -inf; sigma^2 = 1e-300 still runs
+        path = str(planted_csv[0])
+        argv = ["fit", path, "--t0", "10", "--t", "10", "--sigma"]
+        assert main(argv + ["1e-155"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "overflows" in captured.err
+        assert main(argv + ["1e-150"]) == 0
+
+
+@pytest.mark.parametrize("flags,kwargs", [
+    (["--sigma", "0.4"], {}),
+    ([], {}),  # sigma^2 from estimate_noise_variance
+    (["--sigma", "0.4", "--threshold", "0.1"], {"threshold": 0.1}),
+    (["--sigma", "0.4", "--sbar", "1"], {"max_support": 1}),
+])
+def test_ew_select_prints_what_fit_prints(planted_csv, capsys, flags, kwargs):
+    path = str(planted_csv[0])
+    assert main(["fit", path, "--t0", "200", "--t", "300", "--seed", "5"]
+                + flags) == 0
+    printed = capsys.readouterr().out
+    data, _ = read_dataset_csv(path)
+    sigma2 = 0.4 * 0.4 if flags else estimate_noise_variance(data)
+    _, beta, _ = ew_select(data, sigma2,
+                           ChainConfig(burn_in=200, samples=300, seed=5),
+                           **kwargs)
+    out = io.StringIO()
+    cli._write_coefficients(beta, None, out)
+    assert out.getvalue() == printed
 
 
 class TestLassoCommand:

@@ -9,7 +9,7 @@ import pytest
 
 import ewselect.experiments as exps
 from ewselect import (ChainConfig, DomainError, ExperimentSpec, MetricRecord,
-                      compute_metrics, emit, generate_instance,
+                      compute_metrics, emit, ew_select, generate_instance,
                       parse_spec_file, run_experiment)
 from ewselect.experiments import spec_from_mapping
 
@@ -179,6 +179,18 @@ class TestRunExperiment:
         exps.tune_lasso_multiplier(tiny_spec(reps=12, methods=("lasso",),
                                              tune_reps=10))
         assert reps == list(range(10))
+
+    @pytest.mark.parametrize("over", [
+        {}, {"threshold": 0.05, "max_support": 3, "lambda_kappa": 2.0}])
+    def test_ew_fit_is_ew_select_under_the_spec(self, over):
+        spec = tiny_spec(**over)
+        data, _, _ = generate_instance(spec, 1)
+        beta, support = exps.fit_exponential_weights(data, spec, 1)
+        chain = ChainConfig(burn_in=300, samples=700,
+                            seed=exps._chain_seed(spec, 1))
+        got = ew_select(data, data.sigma ** 2, chain, spec.lambda_kappa,
+                        spec.max_support, spec.threshold)
+        assert got[0] == support and np.array_equal(got[1], beta)
 
     def test_summary_statistics_in_valid_ranges(self):
         spec = tiny_spec(reps=4)

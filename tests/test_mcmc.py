@@ -3,6 +3,7 @@ import itertools
 import math
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +196,16 @@ class TestRunChain:
         cfg = PosteriorConfig(lam=2.0, max_support=4, sigma2=1.0)
         acc = run_chain(data, cfg, ChainConfig(burn_in=50, samples=3000, seed=1))
         assert sum(acc.visit_counts.values()) + acc.visit_overflow == acc.samples
+
+    def test_overflowing_temperature_rejected(self, small_data):
+        # y'y / (2 sigma2) overflows at sigma2 = 1e-310, and every
+        # log-weight would be -inf
+        cfg = PosteriorConfig(lam=1.0, max_support=3, sigma2=1e-310)
+        ccfg = ChainConfig(burn_in=10, samples=100, seed=1)
+        with pytest.raises(DomainError, match="overflows"):
+            run_chain(small_data, cfg, ccfg)
+        acc = run_chain(small_data, replace(cfg, sigma2=1e-300), ccfg)
+        assert np.all(np.isfinite(posterior_mean(acc)))
 
     def test_strong_signal_finds_planted_support(self):
         hits = 0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,16 @@ class TestEnumeratePosterior:
         table = enumerate_posterior(d, cfg)
         # (0,) and (2,) tie exactly; sparser beats supersets; lex picks (0,)
         assert table.map_subset == (0,)
+
+    def test_overflowing_temperature_rejected(self, small_data):
+        # y'y / (2 sigma2) overflows at sigma2 = 1e-310: every log-weight
+        # would be -inf and the table NaN, so the call is refused
+        cfg = PosteriorConfig(lam=1.0, max_support=3, sigma2=1e-310)
+        with pytest.raises(DomainError, match="overflows"):
+            enumerate_posterior(small_data, cfg)
+        table = enumerate_posterior(small_data, replace(cfg, sigma2=1e-300))
+        assert math.isfinite(table.log_normalizer)
+        assert sum(prob for _, _, prob in table.entries()) == pytest.approx(1)
 
     def test_memory_peak_is_the_fits(self, rng):
         # weighting the fits in place adds no full-size copy after the walk;
