@@ -10,13 +10,16 @@ is a swap's intermediate, so both read one removal, built once per stay.
 
 Nearly every step is a rejection, so a stay on one support lasts hundreds
 of steps, and the uniforms that fix its proposals are drawn in advance.
-A stay starts with _head(p) scalar steps, about the cost of one
-subsets.Neighbours build in peeks.  Past them, _scan decodes a window of
-those proposals with numpy, scores them all from the stay's Neighbours, and
-rejects in bulk every step before the first one that may be accepted within
-the scores' rounding slack; the scalar step takes that step.  Windows leave
-the law of the chain unchanged, and they take exactly the steps scalar
-steps alone would take, reading the random stream in the same order.
+_proposals decodes them a span at a time, and the exact step (the base,
+peek_rss_add, the threshold test) takes, in order until one is accepted,
+every step that may be accepted.  In a stay's first _head(p) steps (about
+the cost of one subsets.Neighbours build in peeks) and on a rank-deficient
+state, that is every step that proposes a move.  Past them, the stay's
+Neighbours scores a window of steps, and every step whose score misses the
+threshold by more than its rounding slack is rejected in bulk.  Windows
+thus leave the law of the chain unchanged: the chain takes exactly the
+steps it would take with exact steps alone, reading the random stream in
+the same order.
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from .subsets import (Neighbours, SubsetState, _check_subset,
 
 VISIT_CAP = 100_000        # most distinct supports kept in the histogram
 _BLOCK = 16384
-_HEAD = 128               # most scalar steps at the start of a stay
-_WINDOW = 1024            # steps a window scans at most
+_HEAD = 128               # most steps before a stay's first window
+_WINDOW = 1024            # steps a span decodes at most
 # step kinds, indexed by (add >= 0) + 2 * (drop >= 0)
 MOVES = ("none", "add", "drop", "swap")
 
@@ -82,7 +85,8 @@ class ChainAccumulators:
     propose, in MOVES order; a "none" step proposes nothing (a flip past
     the support cap, or a swap from the empty or full support), so the
     counts sum to `proposals` and `accepted`.  window_steps counts the
-    steps that windows rejected in bulk; the rest were scalar steps.
+    steps that windows rejected in bulk; the rest went to the exact step or
+    proposed nothing outside a window.
     neighbour_builds counts the stays' subsets.Neighbours builds.
     """
 
@@ -169,7 +173,7 @@ def _initial_support(data: Dataset, pcfg: PosteriorConfig, init) -> tuple[int, .
 
 
 def _head(p: int) -> int:
-    """Scalar steps that open a stay's first window on a p-column design:
+    """Steps that open a stay's first window on a p-column design:
     one Neighbours build costs about as much as max(8, p // 25) peeks."""
     return min(_HEAD, max(8, p // 25))
 
@@ -183,12 +187,14 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     `state` or the memoized removal of `drop`; an accepted move keeps only
     the new state's one known removal, its base less `add`.
 
-    A stay takes _head(p) scalar steps, and every stay on a rank-deficient
-    state takes only scalar steps.  Past them, _scan rejects runs of
-    steps in windows that never cross a block, and the scalar step takes
-    the step a window stops at, so every acceptance, dense fallback and
-    pool refill is a scalar step and the uniforms are consumed in the
-    same order either way.
+    The walk runs in spans, never across a block, each decoded once by
+    _proposals.  The exact step takes a span's steps in order until one is
+    accepted: in a stay's first _head(p) steps and on a rank-deficient
+    state, every step that proposes a move; past them (a window), every
+    step that the stay's Neighbours cannot reject within its rounding
+    slack.  The other steps are rejections, counted in bulk.  A swap that
+    would read past the pool refills it and goes to the exact step, so the
+    uniforms are read in the same order however the spans fall.
     """
     p = data.p
     sbar = min(pcfg.max_support, p)
@@ -197,9 +203,8 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     p_flip = move_mix[0]
     total = burn + samples
 
-    mask = 0
-    for j in state.support:
-        mask |= 1 << j
+    member = np.zeros(p, dtype=bool)       # the current support's mask
+    member[list(state.support)] = True
     lw_cur = float(lp[state.size]) - state.rss / twos2
 
     removals: dict[int, SubsetState] = {}
@@ -208,7 +213,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     mean_sum = np.zeros(p)
     best_support, best_lw = state.support, lw_cur
     run_len = 0
-    proposed = [0] * len(MOVES)
+    proposed = np.zeros(len(MOVES), dtype=np.int64)
     accepted = [0] * len(MOVES)
     window_steps = 0
     builds = 0
@@ -223,12 +228,7 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
         idx, val = state.beta_sparse(data)
         if len(idx):
             mean_sum[idx] += val * n_steps
-        if state.support in visits:
-            visits[state.support] += n_steps
-        elif len(visits) < VISIT_CAP:
-            visits[state.support] = n_steps
-        else:
-            visit_overflow += n_steps
+        visit_overflow += _count_visit(visits, state.support, n_steps)
 
     def draw():
         return rng.random(block), rng.random(block), np.log(rng.random(block))
@@ -244,95 +244,76 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
     head = _head(p)
     t = 0
     stay_start = 0     # the step that reached the current state
-    scores = None      # its Neighbours, built by the first window
-    drawn = -1         # the block start whose uniforms a window drew
+    scores = None      # its Neighbours, built by its first window
+    drawn = -1         # the block start whose uniforms were drawn
+    refilled = -1      # a step whose swap refilled the pool
     while t < total:
-        if state.linv is not None and t - stay_start >= head:
-            i = t % block
-            if i == 0:
-                move_u, coord_u, logacc = draw()
-                drawn = t
-            span = min(_WINDOW, block - i, total - t)
+        i = t % block
+        if i == 0 and t != drawn:
+            move_u, coord_u, logacc = draw()
+            drawn = t
+        window = state.linv is not None and t - stay_start >= head
+        span = min(_WINDOW, block - i, total - t)
+        if state.linv is not None and not window:
+            span = min(span, stay_start + head - t)
+        drops, adds, used = _proposals(state, member, p_flip, sbar,
+                                       move_u[i:i + span],
+                                       coord_u[i:i + span], pool, pool_i)
+        end = len(drops)
+        if end == 0:       # step t's swap reads past the pool
+            pool, pool_i, refilled = rng.random(block), 0, t
+            continue
+        kinds = (adds >= 0) + 2 * (drops >= 0)
+        exact = kinds > 0
+        if window:
             if scores is None:
                 scores = Neighbours(state, data)
                 builds += 1
-            n, kinds, pool_i = _scan(state, scores, p, lp, twos2, lw_cur,
-                                     p_flip, sbar, move_u[i:i + span],
-                                     coord_u[i:i + span], logacc[i:i + span],
-                                     pool, pool_i)
-            proposed = [a + b for a, b in zip(proposed, kinds)]
-            window_steps += n
-            if trace_rows is not None:
-                size = state.size
-                trace_rows.extend((s, size, lw_cur, 0)
-                                  for s in range(t, t + n))
-            run_len += max(0, t + n - max(t, burn))
-            t += n
-            if n == span:
-                continue
-            stop = t + 1
-        elif state.linv is None:
-            stop = total
-        else:
-            stop = min(total, stay_start + head)
+            rss, slack = scores.rss(drops, adds)
+            exact &= (lp[state.size - (drops >= 0) + (adds >= 0)]
+                      - rss / twos2 - lw_cur
+                      > logacc[i:i + end] - slack / twos2)
+            exact[0] |= t == refilled
 
-        for t in range(t, stop):
-            i = t % block
-            if i == 0 and t != drawn:
-                move_u, coord_u, logacc = draw()
-            size = len(state.support)
-            drop = add = -1
-            if move_u[i] < p_flip:
-                j = int(coord_u[i] * p)
-                cand_mask = mask ^ (1 << j)
-                if (mask >> j) & 1:
-                    drop = j
-                elif size < sbar:
-                    add = j
-            elif 0 < size < p:
-                drop = state.support[int(coord_u[i] * size)]
-                while True:
-                    if pool_i >= block:
-                        pool = rng.random(block)
-                        pool_i = 0
-                    add = int(pool[pool_i] * p)
-                    pool_i += 1
-                    if not (mask >> add) & 1:
-                        break
-                cand_mask = mask ^ (1 << drop) ^ (1 << add)
-            kind = (add >= 0) + 2 * (drop >= 0)
-            proposed[kind] += 1
-
-            acc_flag = False
-            if kind:
-                b = base(drop)
-                rss_c = b.rss if add < 0 else peek_rss_add(b, add, data)
-                lw_c = float(lp[b.size + (add >= 0)]) - rss_c / twos2
-                if lw_c - lw_cur > logacc[i]:
-                    acc_flag = True
-                    accepted[kind] += 1
-                    if t >= burn:
-                        flush(run_len)
-                    run_len = 0
-                    state = b if add < 0 else update_add(b, add, data)
-                    removals.clear()
-                    if add >= 0:
-                        removals[add] = b
-                    mask = cand_mask
-                    lw_cur = lw_c      # peek_rss_add is update_add's RSS
-                    if lw_cur > best_lw:
-                        best_support, best_lw = state.support, lw_cur
-
-            if t >= burn:
-                run_len += 1
-            if trace_rows is not None:
-                trace_rows.append((t, len(state.support), lw_cur,
-                                   int(acc_flag)))
-            if acc_flag:
-                stay_start = t + 1
-                scores = None
+        n, taken, moved = end, 0, False
+        for k in exact.nonzero()[0].tolist():
+            taken += 1
+            drop, add = int(drops[k]), int(adds[k])
+            b = base(drop)
+            rss_c = b.rss if add < 0 else peek_rss_add(b, add, data)
+            lw_c = float(lp[b.size + (add >= 0)]) - rss_c / twos2
+            if lw_c - lw_cur > logacc[i + k]:
+                n, moved = k + 1, True
                 break
-        t += 1
+
+        proposed += np.bincount(kinds[:n], minlength=len(MOVES))
+        if window:
+            window_steps += n - taken
+        pool_i += int(used[n - 1])
+        stay = t + n - moved       # steps t..stay-1 stay on `state`
+        if trace_rows is not None:
+            size = state.size
+            trace_rows.extend((s, size, lw_cur, 0) for s in range(t, stay))
+        run_len += max(0, stay - max(t, burn))
+        if moved:
+            accepted[int(kinds[n - 1])] += 1
+            flush(run_len)
+            run_len = int(stay >= burn)
+            state = b if add < 0 else update_add(b, add, data)
+            removals.clear()
+            if add >= 0:
+                removals[add] = b
+                member[add] = True
+            if drop >= 0:
+                member[drop] = False
+            lw_cur = lw_c          # peek_rss_add is update_add's RSS
+            if lw_cur > best_lw:
+                best_support, best_lw = state.support, lw_cur
+            if trace_rows is not None:
+                trace_rows.append((stay, state.size, lw_cur, 1))
+            stay_start = stay + 1
+            scores = None
+        t += n
 
     flush(run_len)
     return state, ChainAccumulators(
@@ -340,60 +321,63 @@ def _walk(data: Dataset, pcfg: PosteriorConfig, state: SubsetState,
         best_support=best_support, best_log_weight=best_lw,
         visit_counts=visits, visit_overflow=visit_overflow,
         accepted=sum(accepted), proposals=total, chains=1,
-        moves_proposed=np.array(proposed), moves_accepted=np.array(accepted),
+        moves_proposed=proposed, moves_accepted=np.array(accepted),
         window_steps=window_steps, neighbour_builds=builds,
     )
 
 
-def _scan(state: SubsetState, scores: Neighbours, p: int, lp, twos2: float,
-          lw_cur: float, p_flip: float, sbar: int, move_u, coord_u, logacc,
-          pool, pool_i: int):
-    """Count the rejections that open a window of steps from the full-rank
-    `state`, scoring at once every proposal the window's uniforms fix.
+def _proposals(state: SubsetState, member, p_flip: float, sbar: int,
+               move_u, coord_u, pool, pool_i: int):
+    """Decode the proposals a run of steps from `state` makes, `member` its
+    support's mask: (drops, adds, used), where step k drops column drops[k]
+    and/or adds adds[k] (-1: none) and steps 0..k read used[k] swap-pool
+    entries from `pool_i`.
 
-    Returns (n, kinds, pool_i): steps 0..n-1 are rejections, proposing
-    each of the MOVES `kinds` times and leaving the swap pool at `pool_i`.
-    Unless n is the window's length, step n is left to the scalar step:
-    a proposal that may be accepted within the scores' rounding slack
-    (every one the scorer finds rank-deficient), or a swap whose pool entry
-    needs a refill.
+    A flip of coord_u's column drops a member or adds a non-member below
+    the cap `sbar`; a swap drops a uniform member and adds the first pool
+    entry off the support.  The run ends before the first swap that would
+    read past the pool.
     """
+    p = len(member)
     size = state.size
-    member = np.zeros(p, dtype=bool)
-    member[state.order] = True
     flip = move_u < p_flip
     col = (coord_u * p).astype(np.intp)
     hit = member[col]
     drops = np.where(flip & hit, col, -1)
     adds = np.where(flip & ~hit & (size < sbar), col, -1)
+    used = np.zeros(len(move_u), dtype=np.intp)
     end = len(move_u)
-    swaps = np.flatnonzero(~flip) if 0 < size < p else np.empty(0, np.intp)
+    swaps = (~flip).nonzero()[0] if 0 < size < p else ()
     if len(swaps):
         # a swap reads pool entries until one falls off the support; the
         # first 2 per swap nearly always suffice, else read all that are left
         cand = (pool[pool_i:pool_i + 2 * len(swaps) + 32] * p).astype(np.intp)
-        free = np.flatnonzero(~member[cand])
+        free = (~member[cand]).nonzero()[0]
         if len(free) < len(swaps):
             cand = (pool[pool_i:] * p).astype(np.intp)
-            free = np.flatnonzero(~member[cand])
+            free = (~member[cand]).nonzero()[0]
         if len(free) < len(swaps):
             end = int(swaps[len(free)])
             swaps = swaps[:len(free)]
+        free = free[:len(swaps)]
         drops[swaps] = np.asarray(state.support)[
             (coord_u[swaps] * size).astype(np.intp)]
-        adds[swaps] = cand[free[:len(swaps)]]
-    drops, adds = drops[:end], adds[:end]
-    rss, slack = scores.rss(drops, adds)
-    new_size = size - (drops >= 0) + (adds >= 0)
-    stops = ((drops >= 0) | (adds >= 0)) & (
-        lp[new_size] - rss / twos2 - lw_cur > logacc[:end] - slack / twos2)
-    n = int(np.argmax(stops)) if stops.any() else end
-    taken = np.count_nonzero(swaps < n)
-    if taken:
-        pool_i += int(free[taken - 1]) + 1
-    kinds = np.bincount((adds[:n] >= 0) + 2 * (drops[:n] >= 0),
-                        minlength=len(MOVES))
-    return n, kinds.tolist(), pool_i
+        adds[swaps] = cand[free]
+        used[swaps] = free + 1
+        np.maximum.accumulate(used, out=used)
+    return drops[:end], adds[:end], used[:end]
+
+
+def _count_visit(visits: dict, support: tuple[int, ...], n: int) -> int:
+    """Add n visits of `support` to `visits`, a histogram of at most
+    VISIT_CAP supports: returns the visits it has no room for."""
+    if support in visits:
+        visits[support] += n
+    elif len(visits) < VISIT_CAP:
+        visits[support] = n
+    else:
+        return n
+    return 0
 
 
 def _merge(parts: list[ChainAccumulators]) -> ChainAccumulators:
@@ -405,12 +389,7 @@ def _merge(parts: list[ChainAccumulators]) -> ChainAccumulators:
             out.best_support = acc.best_support
             out.best_log_weight = acc.best_log_weight
         for sup, cnt in acc.visit_counts.items():
-            if sup in out.visit_counts:
-                out.visit_counts[sup] += cnt
-            elif len(out.visit_counts) < VISIT_CAP:
-                out.visit_counts[sup] = cnt
-            else:
-                out.visit_overflow += cnt
+            out.visit_overflow += _count_visit(out.visit_counts, sup, cnt)
         out.visit_overflow += acc.visit_overflow
         out.accepted += acc.accepted
         out.proposals += acc.proposals

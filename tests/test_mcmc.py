@@ -81,9 +81,10 @@ def dependent_design():
 def windowed_and_scalar(monkeypatch, data, cfg, start, steps, mix, block,
                         make_rng):
     """The chain kernel run twice on equal streams, scanning windows from
-    the first step of every stay (a head of 0 steps) and taking scalar
-    steps only (a head never reached): [(trace rows, accumulators, rank
-    flags the scorer raised)] in that order."""
+    the first step of every stay (a head of 0 steps) and sending every
+    proposal to the exact step (the scalar run: a head never reached):
+    [(trace rows, accumulators, rank flags the scorer raised)] in that
+    order."""
     import ewselect.mcmc as mcmc
     out = []
     for head in (0, 10 ** 9):
@@ -475,6 +476,83 @@ def flip_script(p, steps):
     return script
 
 
+def reference_proposals(support, p, p_flip, sbar, move_u, coord_u, pool,
+                        pool_i):
+    """The proposal law read one step at a time: a flip of column j drops
+    it from the support or adds it below the cap, a swap drops a uniform
+    member and adds the first pool entry off the support.  (drops, adds,
+    pool entries read by the end of each step), up to the first swap that
+    would read past the pool."""
+    drops, adds, used = [], [], []
+    read = pool_i
+    for mu, cu in zip(move_u, coord_u):
+        drop = add = -1
+        if mu < p_flip:
+            j = int(cu * p)
+            if j in support:
+                drop = j
+            elif len(support) < sbar:
+                add = j
+        elif 0 < len(support) < p:
+            drop = support[int(cu * len(support))]
+            while add < 0 or add in support:
+                if read == len(pool):
+                    return drops, adds, used
+                add = int(pool[read] * p)
+                read += 1
+        drops.append(drop)
+        adds.append(add)
+        used.append(read - pool_i)
+    return drops, adds, used
+
+
+class TestProposals:
+    """_proposals decodes a run of steps as the one-step reading does."""
+
+    P, SBAR = 12, 8
+    SUPPORTS = {"empty": (), "one": (4,), "mid": (0, 3, 7, 9, 11),
+                "cap": (0, 1, 2, 3, 5, 8, 10, 11), "full": tuple(range(12))}
+    POOLS = ["ample", "out-at-first-swap", "out-at-a-later-swap"]
+
+    @pytest.mark.parametrize("pool_case", POOLS)
+    @pytest.mark.parametrize("mix", [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5)])
+    @pytest.mark.parametrize("size", list(SUPPORTS))
+    def test_proposals_match_the_one_step_reading(self, size, mix,
+                                                  pool_case):
+        p, support = self.P, self.SUPPORTS[size]
+        sbar = p if size == "full" else self.SBAR
+        rng = np.random.default_rng([61, len(support), int(4 * mix[0])])
+        move_u, coord_u, pool = rng.random(64), rng.random(64), rng.random(300)
+        pool_i = 5
+        swapping = 0 < len(support) < p
+        if pool_case != "ample" and swapping:
+            # from pool_i on, only the entries at `free` fall off the
+            # support: the run ends at swap number len(free)
+            free = [] if pool_case == "out-at-first-swap" else [0, 3, 4]
+            off = next(c for c in range(p) if c not in support)
+            cols = [off if k in free else support[k % len(support)]
+                    for k in range(len(pool) - pool_i)]
+            pool[pool_i:] = (np.array(cols) + 0.5) / p
+        state = make_state(self.design(), support)
+        member = np.zeros(p, dtype=bool)
+        member[list(support)] = True
+        drops, adds, used = mcmc._proposals(state, member, mix[0], sbar,
+                                            move_u, coord_u, pool, pool_i)
+        ref = reference_proposals(support, p, mix[0], sbar, move_u, coord_u,
+                                  pool, pool_i)
+        assert (drops.tolist(), adds.tolist(), used.tolist()) == ref
+        swaps = np.flatnonzero(move_u >= mix[0])
+        if pool_case != "ample" and swapping and len(swaps) > 3:
+            k = 0 if pool_case == "out-at-first-swap" else 3
+            assert len(drops) == swaps[k]
+        else:
+            assert len(drops) == 64
+
+    @staticmethod
+    def design():
+        return planted_instance(62, 40, 12, [1.0, -0.8], sigma=0.7)[0]
+
+
 def uniform_with_log(t):
     """A uniform whose log, as the kernel takes it, is exactly t (t < -1,
     where the logs of neighbouring doubles are no coarser than t's)."""
@@ -488,7 +566,7 @@ def uniform_with_log(t):
 
 
 class TestWindows:
-    """Windows only bulk-reject what the scalar step would reject: the
+    """Windows only bulk-reject what the exact step would reject: the
     kernel takes the same steps with and without them."""
 
     DESIGNS = {
@@ -514,6 +592,7 @@ class TestWindows:
         ("25x12dep", (0.5, 0.5), 16384, 6, (3, 5)),
         ("25x12dep", (0.0, 1.0), 64, 6, (3, 5)),
         ("25x12dep", (1.0, 0.0), 3, 6, (3, 5)),
+        ("25x12dep", (0.5, 0.5), 64, 6, (3, 5, 7)),  # a deficient start
     ]
 
     @pytest.mark.parametrize(
@@ -543,9 +622,9 @@ class TestWindows:
 
     def test_near_ties_go_to_the_scalar_step(self, monkeypatch):
         # every add to every full-rank start of size 1-3 whose gain in
-        # log-weight the scorer rounds below the scalar step's gain (below
+        # log-weight the scorer rounds below the exact step's gain (below
         # -1, where a uniform has either gain as its log), with the
-        # acceptance log-uniform at either gain.  The scalar step accepts at
+        # acceptance log-uniform at either gain.  The exact step accepts at
         # the scorer's and the bare score would reject: the window must leave
         # that step alone.
         data = self.DESIGNS["40x15"]()
@@ -622,7 +701,7 @@ class TestWindows:
         # (log-uniforms of ~690): the first reads pool entries 0 (column 1,
         # on the support) and 1, the second entry 2, and the third entry 3
         # (column 3, on the support) and then the refill.  The window stops
-        # before the third swap, the scalar step draws the refill, and a
+        # before the third swap, the exact step draws the refill, and a
         # one-step window, the block's last step, takes the fourth swap;
         # the scripted draws must be read in this order, and all of them.
         data, _ = planted_instance(41, 20, 6, [1.0, -0.8], sigma=0.5)
@@ -647,6 +726,45 @@ class TestWindows:
         assert acc_w.window_steps == 3          # steps 0, 1 and 3
         assert acc_w.moves_proposed[MOVES.index("swap")] == 4
 
+    def test_pool_runs_out_at_a_spans_first_step(self, monkeypatch):
+        # four swaps from (1, 3) in blocks of 2 that all drop column 1 and
+        # are rejected.  Step 0 reads pool entry 0 (column 0); step 1 reads
+        # entry 1 (column 1, on the support) and runs out, so a span opens
+        # on it and refills the pool.  Steps 2 and 3 find the pool used up:
+        # step 2 is a block's first step, so its refill must not draw the
+        # block's uniforms a second time.  The exact step takes every swap
+        # that refilled, in head spans and in windows alike.
+        data, _ = planted_instance(41, 20, 6, [1.0, -0.8], sigma=0.5)
+        cfg = PosteriorConfig(lam=2.0, max_support=4, sigma2=data.sigma ** 2)
+        script = [[c / 6 + 0.01 for c in (0, 1)],      # swap add pool
+                  [0.99] * 2, [0.25] * 2, [1e300] * 2,  # block 0: swaps
+                  [c / 6 + 0.01 for c in (1, 2)],      # refill at step 1
+                  [0.99] * 2, [0.25] * 2, [1e300] * 2,  # block 1: swaps
+                  [c / 6 + 0.01 for c in (3, 4)],      # refill at step 2
+                  [c / 6 + 0.01 for c in (5, 0)]]      # refill at step 3
+        rngs, peeked = [], []
+        real_peek = mcmc.peek_rss_add
+
+        def peek_spy(state, j, d):
+            peeked.append((state.support, int(j)))
+            return real_peek(state, j, d)
+
+        def scripted():
+            rngs.append(ScriptedRng(script))
+            return rngs[-1]
+
+        monkeypatch.setattr(mcmc, "peek_rss_add", peek_spy)
+        (rows_w, acc_w, _), (rows_s, acc_s, _) = windowed_and_scalar(
+            monkeypatch, data, cfg, (1, 3), 4, (0.5, 0.5), 2, scripted)
+        assert rows_w == rows_s
+        assert [next(r.draws, None) for r in rngs] == [None, None]
+        assert [r[3] for r in rows_w] == [0] * 4
+        # the window rejects step 0 in bulk; the scalar run peeks it
+        assert peeked == [((3,), 2), ((3,), 4), ((3,), 5),
+                          ((3,), 0), ((3,), 2), ((3,), 4), ((3,), 5)]
+        assert acc_w.window_steps == 1 and acc_s.window_steps == 0
+        assert acc_w.moves_proposed[MOVES.index("swap")] == 4
+
 
 def window_builds(monkeypatch, data, cfg, start, steps):
     """Walk the chain kernel along a scripted chain of flips, `steps` =
@@ -669,7 +787,7 @@ REJECT, ACCEPT = 1e300, 1e-300     # acceptance uniforms, logs +-690
 
 
 class TestHead:
-    """A stay's first window opens after _head(p) scalar steps."""
+    """A stay's first window opens after _head(p) steps."""
 
     @pytest.mark.parametrize("p", [10, 200, 500, 3200])
     def test_first_build_after_the_head(self, monkeypatch, p):
